@@ -2,16 +2,18 @@
 
 Per frame: (1) compute the camera's 3D viewable pyramid at the pruning
 distance d (Eq. 6) and project it to the z=0 plane; (2) take the convex
-hull of apex + 4 corners — the 2D viewable area; (3) spatially join the
-viewable area with the Geographic Constructs of the types named in the
+hull of apex + 4 corners — the 2D viewable area; (3) test the viewable
+area against the Geographic Constructs of the types named in the
 filter's ``contains`` predicates; (4) keep the frame only if every such
 type is visible.
 
-Spark shape: a vectorized ``mapInPandas`` computes per-frame hull
-vertices and a hull bbox; the join against road polygons uses the bbox
-range predicates first (the Catalyst-optimizable "spatial index"
-pre-filter) and the exact convex SAT test second; a groupBy + semi-join
-filters the frames stream.
+Spark shape: one narrow ``mapInPandas`` over the frames stream, with no
+join or shuffle. The constructs of the requested types are collected once
+on the driver into a broadcast bbox index (type, polygon and bbox arrays
+in the closure). Per Arrow batch, a vectorized frames x constructs bbox
+overlap picks candidates and the exact convex SAT test decides them. A
+road network holds tens to hundreds of constructs, so a partitioned grid
+equi-join (GeoSpark/Sedona style) would only add shuffles and a dedup.
 """
 from __future__ import annotations
 
@@ -21,24 +23,14 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.geo.camera import intrinsic_matrix, view_hull_points
-from repro.geo.polygon import convex_hull, convex_intersects
+from repro.geo.polygon import as_poly_array, convex_hull, convex_intersects
 
 __all__ = ["frame_view_hulls", "visible_construct_types", "prune_frames"]
 
-HULL_SCHEMA = T.StructType(
-    [
-        T.StructField("video_id", T.StringType()),
-        T.StructField("frame_idx", T.LongType()),
-        T.StructField("hull", T.ArrayType(T.ArrayType(T.DoubleType()))),
-        T.StructField("hxmin", T.DoubleType()),
-        T.StructField("hymin", T.DoubleType()),
-        T.StructField("hxmax", T.DoubleType()),
-        T.StructField("hymax", T.DoubleType()),
-    ]
-)
+HULL_SCHEMA = ("video_id string, frame_idx long, hull array<array<double>>, "
+               "hxmin double, hymin double, hxmax double, hymax double")
 
 
 def hulls_pandas(pdf: pd.DataFrame, distance: float) -> pd.DataFrame:
@@ -76,46 +68,54 @@ def frame_view_hulls(frames: DataFrame, distance: float) -> DataFrame:
     return frames.mapInPandas(run, schema=HULL_SCHEMA)
 
 
+def construct_index(road: DataFrame, geo_types: set[str]):
+    """Driver-side index of the constructs of ``geo_types``: the sorted
+    type names and, per construct, its type's position, polygon and bbox."""
+    types = sorted(str(t) for t in geo_types)
+    rows = road.filter(F.col("type").isin(*types)).select(
+        "type", "poly", "xmin", "ymin", "xmax", "ymax"
+    ).collect()
+    tix = np.array([types.index(r["type"]) for r in rows], dtype=np.int64)
+    polys = [as_poly_array(r["poly"]) for r in rows]
+    bbox = np.array([r[2:] for r in rows], dtype=np.float64).reshape(-1, 4)
+    return types, tix, polys, bbox
+
+
+def visible_pandas(pdf: pd.DataFrame, index, distance: float) -> np.ndarray:
+    """(frame, type) visibility matrix for a chunk of frames: bbox overlap
+    picks the candidate constructs, the convex SAT test decides them."""
+    types, tix, polys, bbox = index
+    h = hulls_pandas(pdf, distance)
+    hb = h[["hxmin", "hymin", "hxmax", "hymax"]].to_numpy(np.float64)
+    cand = (
+        (hb[:, None, 0] <= bbox[None, :, 2]) & (hb[:, None, 2] >= bbox[None, :, 0])
+        & (hb[:, None, 1] <= bbox[None, :, 3]) & (hb[:, None, 3] >= bbox[None, :, 1])
+    )
+    hulls = [np.asarray(x, dtype=np.float64) for x in h["hull"]]
+    vis = np.zeros((len(pdf), len(types)), dtype=bool)
+    for i, j in zip(*np.nonzero(cand)):
+        if not vis[i, tix[j]]:
+            vis[i, tix[j]] = convex_intersects(hulls[i], polys[j])
+    return vis
+
+
 def visible_construct_types(
     frames: DataFrame, road: DataFrame, geo_types: set[str], distance: float
 ) -> DataFrame:
     """(video_id, frame_idx, type) rows for every construct type of
     interest visible in the frame's viewable area."""
-    hulls = frame_view_hulls(frames, distance)
-    cand = road.filter(F.col("type").isin(*[str(t) for t in geo_types]))
-    # Spatial-index surrogate: bbox-overlap range join (Catalyst handles
-    # this as a plain theta-join with pushed range predicates).
-    joined = hulls.join(
-        cand,
-        (F.col("hxmin") <= F.col("xmax"))
-        & (F.col("hxmax") >= F.col("xmin"))
-        & (F.col("hymin") <= F.col("ymax"))
-        & (F.col("hymax") >= F.col("ymin")),
-        "inner",
-    ).select("video_id", "frame_idx", "hull", "poly", "type")
+    index = construct_index(road, geo_types)
+    types = np.array(index[0], dtype=object)
 
-    schema = T.StructType(
-        [
-            T.StructField("video_id", T.StringType()),
-            T.StructField("frame_idx", T.LongType()),
-            T.StructField("type", T.StringType()),
-        ]
-    )
-
-    def exact(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
-            if not len(pdf):
-                continue
-            keep = [
-                convex_intersects(h, p) for h, p in zip(pdf["hull"], pdf["poly"])
-            ]
-            out = pdf.loc[keep, ["video_id", "frame_idx", "type"]]
-            if len(out):
-                yield out
+            if len(pdf):
+                i, t = np.nonzero(visible_pandas(pdf, index, distance))
+                yield pd.DataFrame({"video_id": pdf["video_id"].to_numpy()[i],
+                                    "frame_idx": pdf["frame_idx"].to_numpy(np.int64)[i],
+                                    "type": types[t]})
 
-    return joined.mapInPandas(exact, schema=schema).dropDuplicates(
-        ["video_id", "frame_idx", "type"]
-    )
+    return frames.mapInPandas(run, schema="video_id string, frame_idx long, type string")
 
 
 def prune_frames(
@@ -125,11 +125,11 @@ def prune_frames(
     visible (the transformed top-level conjunction of §6.1.2)."""
     if not geo_types:
         return frames
-    vis = visible_construct_types(frames, road, geo_types, distance)
-    ok = (
-        vis.groupBy("video_id", "frame_idx")
-        .agg(F.countDistinct("type").alias("n_types"))
-        .filter(F.col("n_types") == len(geo_types))
-        .select("video_id", "frame_idx")
-    )
-    return frames.join(ok, on=["video_id", "frame_idx"], how="leftsemi")
+    index = construct_index(road, geo_types)
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            if len(pdf):
+                yield pdf[visible_pandas(pdf, index, distance).all(axis=1)]
+
+    return frames.mapInPandas(run, schema=frames.schema)

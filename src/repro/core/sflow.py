@@ -138,9 +138,7 @@ class World:
         # evaluates (k object refs → k-way temporal-index self-join).
         n_comb = combination_count(objects, pred)
         cost.add("query_engine", n_comb, n_comb * C.QUERY_ROW)
-        result = compile_filter(objects, cams, road, pred).persist()
-        vp.counts["result_rows"] = result.count()
-        return result, cost
+        return compile_filter(objects, cams, road, pred), cost
 
     # ------------------------------------------------------------ observe
     def get_objects(self) -> tuple[pd.DataFrame, CostReport]:

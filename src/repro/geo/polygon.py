@@ -10,8 +10,8 @@ No shapely in the container, so everything is implemented here:
   exactly on a lane edge);
 * ``convex_intersects`` — separating-axis theorem for two convex
   polygons (view hull x road polygon overlap test);
-* ``polygon_bbox`` — the "spatial index" surrogate: bbox columns enable
-  Catalyst-optimizable range pre-filters before exact tests.
+* ``polygon_bbox`` — the constructs' bbox columns, which the Road
+  Visibility Pruner's bbox index pre-filters on before exact tests.
 
 Polygons are (k,2) float arrays or nested lists; vertex order may be CW
 or CCW; the polygon is implicitly closed.

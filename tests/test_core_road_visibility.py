@@ -9,9 +9,9 @@ from repro.core.road_visibility import (
     prune_frames,
     visible_construct_types,
 )
-from repro.geo.polygon import point_in_polygon
+from repro.geo.polygon import convex_intersects, point_in_polygon
 from repro.video.decoder import decode
-from repro.world.datasets import ROAD_SCHEMA
+from repro.world.datasets import ROAD_SCHEMA, nuscenes_lite
 from repro.world.roadnetwork import grid_road_network
 from tests.helpers import make_frames
 
@@ -114,3 +114,98 @@ def test_prune_distance_matters(spark, road):
     road_s = road_sdf(spark, road)
     assert prune_frames(decode(frames), road_s, {"intersection"}, 50.0).count() == 1
     assert prune_frames(decode(frames), road_s, {"intersection"}, 10.0).count() == 0
+
+
+# ------------------------------------------------- differential + invariance
+CASES = [
+    ({"intersection"}, 10.0),
+    ({"intersection"}, 50.0),
+    ({"lane", "intersection"}, 10.0),
+    ({"intersection", "bikeLane"}, 50.0),
+]
+
+
+def brute_force_kept(frames: pd.DataFrame, road_df: pd.DataFrame, geo_types, distance):
+    """Reference RVP: every construct of each type, no bbox pre-filter."""
+    cons = road_df[road_df["type"].isin(geo_types)]
+    h = hulls_pandas(frames, distance)
+    kept = set()
+    for vid, f, hull in zip(h["video_id"], h["frame_idx"], h["hull"]):
+        seen = {t for t, p in zip(cons["type"], cons["poly"]) if convex_intersects(hull, p)}
+        if seen == set(geo_types):
+            kept.add((vid, int(f)))
+    return kept
+
+
+def kept_set(df) -> set:
+    return {(r["video_id"], int(r["frame_idx"])) for r in df.select("video_id", "frame_idx").collect()}
+
+
+def grid_dataset():
+    road = grid_road_network(4, 4, spacing=100.0)
+    xs = np.linspace(0.0, 300.0, 40)
+    cams = pd.concat([
+        make_frames(40, video_id="east", pos=(0.0, -1.75), heading=0.0, xs=xs),
+        make_frames(40, video_id="west", pos=(0.0, 101.75), heading=180.0, xs=xs[::-1]),
+        make_frames(40, video_id="north", pos=(0.0, 50.0), heading=90.0, xs=xs),
+    ], ignore_index=True)
+    return road, cams
+
+
+def dataset(name: str, seed: int):
+    if name == "grid_road_network":
+        return grid_dataset()
+    ds = nuscenes_lite(3, seed=seed, n_frames=60)
+    return ds.road, ds.cameras
+
+
+@pytest.mark.parametrize("name,seed", [("nuscenes_lite", s) for s in (0, 3, 6)]
+                         + [("grid_road_network", 0)])
+def test_prune_frames_matches_brute_force(spark, name, seed):
+    road, cams = dataset(name, seed)
+    frames = decode(spark.createDataFrame(cams))
+    road_s = road_sdf(spark, road)
+    n_kept = []
+    for geo_types, distance in CASES:
+        want = brute_force_kept(cams, road.df, geo_types, distance)
+        got = kept_set(prune_frames(frames, road_s, geo_types, distance))
+        assert got == want, (geo_types, distance)
+        n_kept.append(len(got))
+    # The cases must both keep and drop frames, or the comparison is vacuous.
+    assert max(n_kept) > 0 and min(n_kept) < len(cams)
+
+
+def test_prune_frames_partition_invariant(spark):
+    road, cams = grid_dataset()
+    frames = decode(spark.createDataFrame(cams))
+    road_s = road_sdf(spark, road)
+    for geo_types, distance in CASES:
+        base = kept_set(prune_frames(frames, road_s, geo_types, distance))
+        for n in (1, 8):
+            assert kept_set(prune_frames(frames.repartition(n), road_s, geo_types, distance)) == base
+
+
+def test_prune_frames_plan_is_narrow(spark, road):
+    frames = decode(spark.createDataFrame(make_frames(4, pos=(30.0, -1.75))))
+    kept = prune_frames(frames, road_sdf(spark, road), {"intersection", "lane"}, 50.0)
+    assert kept.count() == 4
+    plan = kept._jdf.queryExecution().executedPlan().toString()
+    assert "MapInPandas" in plan
+    assert "CartesianProduct" not in plan and "Exchange" not in plan
+
+
+def test_prune_frames_no_construct_of_type_keeps_nothing(spark, road):
+    frames = decode(spark.createDataFrame(make_frames(3, pos=(30.0, -1.75))))
+    no_int = road_sdf(spark, road).filter("type != 'intersection'")
+    assert prune_frames(frames, no_int, {"intersection"}, 50.0).count() == 0
+    assert prune_frames(frames, no_int, {"intersection", "lane"}, 50.0).count() == 0
+    assert set(visible_construct_types(frames, no_int, {"intersection", "lane"}, 50.0)
+               .toPandas()["type"]) == {"lane"}
+
+
+def test_prune_frames_empty_frames(spark, road):
+    frames = decode(spark.createDataFrame(make_frames(3, pos=(30.0, -1.75)))).limit(0)
+    road_s = road_sdf(spark, road)
+    kept = prune_frames(frames, road_s, {"intersection"}, 50.0)
+    assert kept.count() == 0 and kept.columns == frames.columns
+    assert visible_construct_types(frames, road_s, {"intersection"}, 50.0).count() == 0

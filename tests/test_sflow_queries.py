@@ -189,7 +189,8 @@ def test_cost_report_structure(spark, road):
     _, cost, w = run(spark, road, objs, query("Q6"))
     for op in ("integrate", "decode", "rvp", "yolo", "otp", "geom3d", "query_engine"):
         assert op in cost.entries, op
-    assert "depth" not in cost.entries or cost.ms("depth") == 0 or True
+    # Under G3D, depth is charged for exactly the fallback frames.
+    assert cost.count("depth") == w.vp_result.counts["depth_fallback_frames"]
     assert cost.total_ms > 0
 
 
