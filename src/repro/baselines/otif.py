@@ -7,20 +7,21 @@ The two OTIF mechanisms the paper describes:
 * *recurrent reduced-rate tracking*: the tracker runs at a fixed reduced
   frame rate (every k-th frame) regardless of content.
 
-OTIF also needs a per-dataset training phase (61m37s in the paper); we
-model it as a reported constant that is excluded from the FPS numbers,
-exactly as §7.1.4 does. The comparison metric is frames processed per
-second of modeled runtime.
+Both are operators in a plan run by the video processor's executor:
+decode → proxy-gated detector → reduced-rate filter →
+StrongSORT. OTIF is tracker *pre-processing*: it tracks in 2D, with no
+3D stage. OTIF also needs a per-dataset training phase (61m37s in the
+paper); we model it as a reported constant that is excluded from the FPS
+numbers, exactly as §7.1.4 does. The comparison metric is frames
+processed per second of modeled runtime.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.pipeline import DECODE, Operator, execute, proxy_gated_detector, tracker
 from repro.video.costmodel import C, CostReport
-from repro.video.decoder import decode
-from repro.video.detector import detect
-from repro.video.tracker import track_objects
 
 __all__ = ["run_otif", "OTIF_TRAINING_MS"]
 
@@ -34,30 +35,20 @@ def run_otif(
     track_every: int = 2,
 ) -> tuple[DataFrame, CostReport, dict]:
     """OTIF-style tracking over a dataset; returns (tracks, cost, counts)."""
-    cost = CostReport()
-    frames = decode(cameras)
-    n_frames = frames.count()
-    cost.add("decode", n_frames, n_frames * C.DECODE)
-    cost.add("otif_proxy", n_frames, n_frames * C.OTIF_SEG_PROXY)
-    dets = detect(frames, gt).persist()
-    # Detector only on frames the proxy flags (frames with objects).
-    frames_with = dets.select("video_id", "frame_idx").distinct().count()
-    cost.add("yolo", frames_with, frames_with * C.YOLO)
-    # OTIF is tracker *pre-processing*: it tracks in 2D, no depth stage.
-    # Reduced-rate tracking: every k-th frame only.
-    sampled = dets.filter(F.col("frame_idx") % track_every == 0)
-    tracked = track_objects(sampled, variant="strongsort").persist()
-    per_frame = tracked.groupBy("video_id", "frame_idx").count()
-    agg = per_frame.agg(
-        F.count("*").alias("nf"), F.sum("count").alias("sn"),
-        F.sum(F.pow("count", 3)).alias("sn3"),
-    ).first()
-    nf, sn, sn3 = agg["nf"] or 0, float(agg["sn"] or 0), float(agg["sn3"] or 0)
-    cost.add(
-        "track", nf,
-        nf * C.TRACK_BASE["strongsort"] + sn * C.TRACK_OBJ["strongsort"]
-        + sn3 * C.TRACK_HUNG,
+    vp = execute(
+        [
+            DECODE,
+            proxy_gated_detector(gt, "otif_proxy", C.OTIF_SEG_PROXY, C.YOLO),
+            Operator(
+                "reduced_rate",
+                lambda run, dets: dets.filter(F.col("frame_idx") % track_every == 0),
+                lambda run, *_: None,
+            ),
+            tracker("strongsort"),
+        ],
+        cameras,
     )
-    counts = {"frames_total": n_frames, "frames_detected": frames_with,
-              "frames_tracked": nf}
-    return tracked, cost, counts
+    counts = {"frames_total": vp.counts["frames_total"],
+              "frames_detected": vp.counts["frames_with_dets"],
+              "frames_tracked": vp.counts["frames_tracked"]}
+    return vp.objects, vp.cost, counts

@@ -5,61 +5,52 @@ the drone's GPS+altitude — trivial for a top-down camera) and tracks
 (plain SORT) every frame. §7.1.5's comparison keeps the *same* three ML
 functions on both sides and lets Spatialyze add only the Road Visibility
 Pruner; the measured speedup is therefore exactly the RVP's frame
-pruning. ``run_skyquery`` is the baseline (no pruning);
-``run_spatialyze_with_skyquery_models`` is the Spatialyze side with the
-same models (YOLOv3 cost, SORT tracker, per-object homography 3D).
+pruning. Both sides are operator plans run by the video processor's
+executor: ``run_skyquery`` is decode → detect → 3D → SORT charged at
+SkyQuery's model costs; ``run_spatialyze_with_skyquery_models`` is the
+same plan with Spatialyze's RVP inserted after the decoder.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from dataclasses import replace
 
-from repro.core.geom3d import estimate_3d_geometry
-from repro.core.road_visibility import prune_frames
+from pyspark.sql import DataFrame
+
+from repro.core.pipeline import DECODE, LOC3D_GEOMETRY, detector, execute, road_visibility, tracker
 from repro.video.costmodel import C, CostReport
-from repro.video.decoder import decode
-from repro.video.detector import detect
-from repro.video.tracker import track_objects
 
 __all__ = ["run_skyquery", "run_spatialyze_with_skyquery_models"]
 
 
-def _tracked_cost(tracked: DataFrame, cost: CostReport) -> None:
-    per_frame = tracked.groupBy("video_id", "frame_idx").count()
-    agg = per_frame.agg(
-        F.count("*").alias("nf"), F.sum("count").alias("sn"),
-        F.sum(F.pow("count", 3)).alias("sn3"),
-    ).first()
-    nf, sn, sn3 = agg["nf"] or 0, float(agg["sn"] or 0), float(agg["sn3"] or 0)
-    cost.add(
-        "track", nf,
-        nf * C.TRACK_BASE["sort"] + sn * C.TRACK_OBJ["sort"] + sn3 * C.TRACK_HUNG,
+def _charge_yolov3(run, frames, dets) -> None:
+    run.counts["detections"] = dets.count()
+    run.charge_per("yolov3", "frames_after_rvp", C.YOLOV3)
+
+
+def _run(cameras: DataFrame, gt: DataFrame, pruners: list) -> tuple[DataFrame, CostReport, dict]:
+    vp = execute(
+        [
+            DECODE,
+            *pruners,
+            replace(detector(gt), charge=_charge_yolov3),
+            # Homography ground projection: the geometry path (top-down
+            # camera rays hit z=0), charged at SkyQuery's per-object cost.
+            replace(
+                LOC3D_GEOMETRY,
+                charge=lambda run, *_: run.charge_per("sky3d", "detections", C.SKYQUERY_3D_OBJ),
+            ),
+            tracker("sort"),
+        ],
+        cameras,
     )
-
-
-def _pipeline(frames: DataFrame, gt: DataFrame, cost: CostReport) -> DataFrame:
-    """Shared detector→3D→SORT chain with SkyQuery's model costs."""
-    n_frames = frames.count()
-    cost.add("yolov3", n_frames, n_frames * C.YOLOV3)
-    dets = detect(frames, gt).persist()
-    n_dets = dets.count()
-    # Homography ground projection: same geometry path (top-down camera
-    # rays hit z=0), charged at SkyQuery's per-object cost.
-    d3 = estimate_3d_geometry(dets).persist()
-    cost.add("sky3d", n_dets, n_dets * C.SKYQUERY_3D_OBJ)
-    tracked = track_objects(d3, variant="sort").persist()
-    _tracked_cost(tracked, cost)
-    return tracked
+    counts = {"frames_total": vp.counts["frames_total"],
+              "frames_processed": vp.counts["frames_after_rvp"]}
+    return vp.objects, vp.cost, counts
 
 
 def run_skyquery(cameras: DataFrame, gt: DataFrame) -> tuple[DataFrame, CostReport, dict]:
     """The SkyQuery pipeline: every frame, no pruning."""
-    cost = CostReport()
-    frames = decode(cameras)
-    n_frames = frames.count()
-    cost.add("decode", n_frames, n_frames * C.DECODE)
-    tracked = _pipeline(frames, gt, cost)
-    return tracked, cost, {"frames_total": n_frames, "frames_processed": n_frames}
+    return _run(cameras, gt, [])
 
 
 def run_spatialyze_with_skyquery_models(
@@ -72,12 +63,4 @@ def run_spatialyze_with_skyquery_models(
 ) -> tuple[DataFrame, CostReport, dict]:
     """Spatialyze's video processor with SkyQuery's ML functions: only
     the Road Visibility Pruner differs (§7.1.5)."""
-    cost = CostReport()
-    frames = decode(cameras)
-    n_frames = frames.count()
-    cost.add("decode", n_frames, n_frames * C.DECODE)
-    kept = prune_frames(frames, road, set(geo_types), distance).persist()
-    n_kept = kept.count()
-    cost.add("rvp", n_frames, n_frames * C.RVP_FRAME)
-    tracked = _pipeline(kept, gt, cost)
-    return tracked, cost, {"frames_total": n_frames, "frames_processed": n_kept}
+    return _run(cameras, gt, [road_visibility(road, set(geo_types), distance)])

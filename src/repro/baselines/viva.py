@@ -13,19 +13,22 @@ The mechanisms the paper attributes to VIVA, reproduced:
 * runs at 360x240 @ 1 FPS with DeepSORT — the §7.1.2 configuration
   (model costs scale by ``C.LOWRES_FACTOR``; the Spatialyze side of T3
   is configured identically for a fair comparison).
+
+The video processing is an operator plan run by the video processor's
+executor: decode → proxy-gated detector → depth on the flagged
+frames (VIVA has no geometric shortcut) → DeepSORT over every type.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.pipeline import DECODE, LOC3D_DEPTH, execute, proxy_gated_detector, tracker
 from repro.core.predicates import Predicate
 from repro.core.query_engine import compile_filter, movable_objects
-from repro.video.costmodel import C, CostReport, tracker_frame_cost
-from repro.video.decoder import decode
-from repro.video.depth import estimate_3d_depth
-from repro.video.detector import detect
-from repro.video.tracker import track_objects
+from repro.video.costmodel import C, CostReport
 
 __all__ = ["run_viva", "resample_fps", "PLAN_SEARCH_MS"]
 
@@ -47,33 +50,22 @@ def run_viva(
     fps: float,
 ) -> tuple[DataFrame, CostReport]:
     """Execute one query the VIVA way; returns (result, modeled cost)."""
-    cost = CostReport()
-    cost.add("viva_plan_search", 1, PLAN_SEARCH_MS)
-    frames = decode(cameras)
-    n_frames = frames.count()
     lowres = C.LOWRES_FACTOR
-    cost.add("decode", n_frames, n_frames * C.DECODE)
-    # Proxy model on every frame; full detector only where it fires.
-    dets = detect(frames, gt).persist()
-    frames_with = dets.select("video_id", "frame_idx").distinct().count()
-    cost.add("viva_proxy", n_frames, n_frames * C.VIVA_PROXY)
-    cost.add("yolo", frames_with, frames_with * C.YOLO * lowres)
-    # Depth on flagged frames (VIVA has no geometric shortcut).
-    d3 = estimate_3d_depth(dets).persist()
-    cost.add("depth", frames_with, frames_with * C.DEPTH * lowres)
-    # DeepSORT over ALL object types (no type pruner).
-    tracked = track_objects(d3, variant="deepsort").persist()
-    per_frame = tracked.groupBy("video_id", "frame_idx").count()
-    agg = per_frame.agg(
-        F.count("*").alias("nf"), F.sum("count").alias("sn"),
-        F.sum(F.pow("count", 3)).alias("sn3"),
-    ).first()
-    nf, sn, sn3 = agg["nf"] or 0, float(agg["sn"] or 0), float(agg["sn3"] or 0)
-    cost.add(
-        "track", nf,
-        nf * C.TRACK_BASE["deepsort"] + sn * C.TRACK_OBJ["deepsort"] + sn3 * C.TRACK_HUNG,
+    depth_ms = C.DEPTH * lowres
+    vp = execute(
+        [
+            DECODE,
+            proxy_gated_detector(gt, "viva_proxy", C.VIVA_PROXY, C.YOLO * lowres),
+            replace(
+                LOC3D_DEPTH,
+                charge=lambda run, *_: run.charge_per("depth", "frames_with_dets", depth_ms),
+            ),
+            tracker("deepsort"),
+        ],
+        cameras,
     )
-    objects = movable_objects(tracked, fps=fps)
+    cost = CostReport().add("viva_plan_search", 1, PLAN_SEARCH_MS).merge(vp.cost)
+    objects = movable_objects(vp.objects, fps=fps)
     n_rows = objects.count()
     cost.add("query_engine", n_rows, n_rows * C.QUERY_ROW)
     result = compile_filter(objects, cameras, road, pred)

@@ -17,9 +17,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.geo.camera import intrinsic_matrix, ray_ground_intersection
-from repro.video.depth import with_loc3d_schema
-from repro.video.detector import pseudo_uniform
+from repro.geo.camera import ray_ground_intersection
+from repro.video.depth import bbox_rays, depth_points, with_loc3d_schema
 
 __all__ = ["estimate_3d_geometry", "geometry_pandas"]
 
@@ -31,30 +30,13 @@ def geometry_pandas(pdf: pd.DataFrame) -> pd.DataFrame:
         out["wx"] = out["wy"] = out["wz"] = pd.Series(dtype="float64")
         out["est_src"] = pd.Series(dtype="object")
         return out
-    xp = (pdf["x1"].to_numpy(np.float64) + pdf["x2"].to_numpy(np.float64)) / 2
-    yp = pdf["y2"].to_numpy(np.float64)  # bottom edge of the bbox
-    t = pdf[["cam_x", "cam_y", "cam_z"]].to_numpy(np.float64)
-    q = pdf[["qw", "qx", "qy", "qz"]].to_numpy(np.float64)
-    k = intrinsic_matrix(
-        pdf["fx"].to_numpy(), pdf["fy"].to_numpy(), pdf["sk"].to_numpy(),
-        pdf["x0"].to_numpy(), pdf["y0"].to_numpy(),
-    )
-    pts, d = ray_ground_intersection(xp, yp, t, q, k)
+    rays = bbox_rays(pdf)
+    pts, d = ray_ground_intersection(*rays)
     ok = d > 0
-    # Fallback for rays behind the camera: the depth-network estimate
-    # (true camera depth + its ~5 % noise), as §6.3's escape hatch.
+    # Fallback for rays behind the camera: the depth-network estimate,
+    # as §6.3's escape hatch.
     if (~ok).any():
-        noise = 1.0 + 0.05 * 2.0 * (
-            pseudo_uniform(
-                pdf["gt_oid"].to_numpy(np.int64), pdf["frame_idx"].to_numpy(np.int64), salt=7
-            )
-            - 0.5
-        )
-        zc = np.maximum(pdf["gt_zcam"].to_numpy(np.float64) * noise, 0.5)
-        from repro.geo.camera import pixel_to_world
-
-        fb = pixel_to_world(xp, yp, zc, t, q, k)
-        pts = np.where(ok[:, None], pts, fb)
+        pts = np.where(ok[:, None], pts, depth_points(pdf, *rays))
     out["wx"], out["wy"] = pts[:, 0], pts[:, 1]
     out["wz"] = np.where(ok, 0.0, np.maximum(pts[:, 2], 0.0))
     out["est_src"] = np.where(ok, "geometry", "depth_fallback")

@@ -13,15 +13,13 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.pipeline import VPResult, run_video_processor
+from repro.core.pipeline import run_video_processor
 from repro.core.planner import ALL_OPTIMIZATIONS, plan_workflow
 from repro.core.queries import query
-from repro.core.road_visibility import prune_frames
 from repro.core.sflow import World
 from repro.metrics.hota import assa
 from repro.video.costmodel import C, CostReport
-from repro.video.decoder import decode
-from repro.world.datasets import ROAD_SCHEMA, Dataset
+from repro.world.datasets import Dataset
 
 __all__ = [
     "SETUPS", "SetupRun", "run_setup", "ablation_runtime_table",
@@ -59,14 +57,6 @@ class SetupRun:
         return self.cost.total_ms
 
 
-def _dataset_sdfs(spark: SparkSession, ds: Dataset):
-    return (
-        spark.createDataFrame(ds.cameras),
-        spark.createDataFrame(ds.gt),
-        spark.createDataFrame(ds.road.df.to_dict("records"), schema=ROAD_SCHEMA),
-    )
-
-
 def run_setup(
     spark: SparkSession,
     ds: Dataset,
@@ -79,21 +69,17 @@ def run_setup(
     """Run one query's video processor under one ablation setup."""
     pred = query(qname)
     plan = plan_workflow(pred, optimizations=SETUPS[setup])
-    cams, gt, road = _dataset_sdfs(spark, ds)
     vp = run_video_processor(
-        cams, gt, road, plan, fps=ds.fps, road_pdf=ds.road.df, seed=seed,
-        efs_max_skip=efs_max_skip,
+        ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark), plan, fps=ds.fps,
+        road_pdf=ds.road.df, seed=seed, efs_max_skip=efs_max_skip,
     )
     cols = [c for c in TRACK_COLS if c in vp.objects.columns]
     tracked = vp.objects.select(*cols).toPandas() if plan.include_tracker else pd.DataFrame(
         columns=TRACK_COLS
     )
-    rvp_frames = None
-    if plan.use_rvp:
-        rvp_frames = (
-            prune_frames(decode(cams), road, plan.rvp_types, plan.rvp_distance)
-            .select("video_id", "frame_idx").toPandas()
-        )
+    rvp_frames = (
+        vp.outputs["rvp"].select("video_id", "frame_idx").toPandas() if plan.use_rvp else None
+    )
     return SetupRun(setup, qname, vp.cost, vp.counts, tracked, rvp_frames)
 
 

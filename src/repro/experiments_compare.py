@@ -22,7 +22,7 @@ from repro.core.planner import ALL_OPTIMIZATIONS, plan_workflow
 from repro.core.queries import query
 from repro.core.query_engine import compile_filter, movable_objects
 from repro.core.sflow import World
-from repro.experiments import SETUPS, _dataset_sdfs, fps_of, run_setup
+from repro.experiments import SETUPS, fps_of, run_setup
 from repro.metrics.f1 import skip_f1, skip_runtime_ratio
 from repro.video.costmodel import C, CostReport
 from repro.world.datasets import Dataset
@@ -35,7 +35,7 @@ __all__ = [
 
 def eva_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     """T2: Q5-Q8 modeled runtime, Spatialyze vs EVA run in series."""
-    cams, gt, road = _dataset_sdfs(spark, ds)
+    cams, gt, road = ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark)
     eva = EvaSession(cams, gt, road)
     rows = []
     for i, q in enumerate(["Q5", "Q6", "Q7", "Q8"]):
@@ -70,7 +70,7 @@ def viva_comparison(spark: SparkSession, ds: Dataset, *, target_fps: float = 1.0
     cams_pdf = ds.cameras[ds.cameras["frame_idx"] % k == 0].reset_index(drop=True)
     gt_pdf = ds.gt[ds.gt["frame_idx"] % k == 0].reset_index(drop=True)
     sub = Dataset(ds.name, ds.road, cams_pdf, gt_pdf, target_fps)
-    cams, gt, road = _dataset_sdfs(spark, sub)
+    cams, gt, road = sub.cameras_sdf(spark), sub.gt_sdf(spark), sub.road_sdf(spark)
     pred = query("Q9")
     # VIVA side.
     _, viva_cost = run_viva(cams, gt, road, pred, fps=target_fps)
@@ -101,7 +101,7 @@ def devkit_comparison(
     Both sides query the same annotations (the SB video processor's
     output), so this isolates the query-engine stage as §7.1.3 does.
     """
-    cams, gt, road = _dataset_sdfs(spark, ds)
+    cams, gt, road = ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark)
     # The devkit queries the FULL annotation store (every object type —
     # §7.1.3 compares on already-ingested annotations), so the shared
     # object table is built without the Object Type Pruner; type filters
@@ -142,7 +142,7 @@ def devkit_comparison(
 
 def otif_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     """T5: object-tracking FPS, OTIF vs Spatialyze-with-all-opts (Q1-Q4)."""
-    cams, gt, _ = _dataset_sdfs(spark, ds)
+    cams, gt = ds.cameras_sdf(spark), ds.gt_sdf(spark)
     _, otif_cost, otif_counts = run_otif(cams, gt)
     rows = [
         {
@@ -165,7 +165,7 @@ def otif_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
 
 def skyquery_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     """T6: Q10 FPS on the aerial dataset, same ML sims on both sides."""
-    cams, gt, road = _dataset_sdfs(spark, ds)
+    cams, gt, road = ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark)
     _, sq_cost, sq_counts = run_skyquery(cams, gt)
     _, sp_cost, sp_counts = run_spatialyze_with_skyquery_models(cams, gt, road)
     return pd.DataFrame(

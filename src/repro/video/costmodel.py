@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["C", "CostReport", "tracker_frame_cost"]
+__all__ = ["C", "CostReport", "tracker_cost", "tracker_frame_cost"]
 
 
 class C:
@@ -70,13 +70,22 @@ class C:
     LOWRES_FACTOR = 0.15         # 360x240 vs 1600x900 model-cost scale
 
 
-def tracker_frame_cost(n_objects: int, variant: str = "strongsort") -> float:
-    """Tracker cost for one frame with ``n_objects`` detections (ms)."""
+def tracker_cost(
+    n_frames: float, n_objects: float, n_objects_cubed: float, variant: str = "strongsort"
+) -> float:
+    """Tracker cost (ms) over ``n_frames`` frames that hold ``n_objects``
+    detections in all, where ``n_objects_cubed`` sums each frame's count
+    cubed (the Hungarian term)."""
     return (
-        C.TRACK_BASE[variant]
-        + C.TRACK_OBJ[variant] * n_objects
-        + C.TRACK_HUNG * n_objects**3
+        n_frames * C.TRACK_BASE[variant]
+        + n_objects * C.TRACK_OBJ[variant]
+        + n_objects_cubed * C.TRACK_HUNG
     )
+
+
+def tracker_frame_cost(n_objects: float, variant: str = "strongsort") -> float:
+    """Tracker cost for one frame with ``n_objects`` detections (ms)."""
+    return tracker_cost(1, n_objects, n_objects**3, variant)
 
 
 @dataclass

@@ -22,7 +22,10 @@ from pyspark.sql import types as T
 from repro.geo.camera import intrinsic_matrix, pixel_to_world, ray_ground_intersection
 from repro.video.detector import pseudo_uniform
 
-__all__ = ["depth_map", "estimate_3d_depth", "with_loc3d_schema", "DEPTH_GRID"]
+__all__ = [
+    "bbox_rays", "depth_map", "depth_points", "estimate_3d_depth", "with_loc3d_schema",
+    "DEPTH_GRID",
+]
 
 DEPTH_GRID = (48, 27)  # depth-map resolution (w, h): the per-frame workload
 FAR_M = 200.0
@@ -61,18 +64,9 @@ def depth_map(cam_row: pd.Series) -> np.ndarray:
     return d.reshape(gh, gw)
 
 
-def _estimate_frame(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Depth-estimate all detections of one frame."""
-    cam = pdf.iloc[0]
-    _ = depth_map(cam)  # the expensive whole-image pass (workload model)
-    n = len(pdf)
-    noise = 1.0 + NOISE_FRAC * 2.0 * (
-        pseudo_uniform(
-            pdf["gt_oid"].to_numpy(np.int64), pdf["frame_idx"].to_numpy(np.int64), salt=7
-        )
-        - 0.5
-    )
-    zc = np.maximum(pdf["gt_zcam"].to_numpy(np.float64) * noise, 0.5)
+def bbox_rays(pdf: pd.DataFrame) -> tuple[np.ndarray, ...]:
+    """Per detection: its bbox bottom-centre pixel ``xp, yp`` and its
+    frame's camera translation ``t``, rotation ``q`` and intrinsics ``k``."""
     xp = (pdf["x1"].to_numpy(np.float64) + pdf["x2"].to_numpy(np.float64)) / 2
     yp = pdf["y2"].to_numpy(np.float64)  # bbox bottom edge
     t = pdf[["cam_x", "cam_y", "cam_z"]].to_numpy(np.float64)
@@ -81,7 +75,28 @@ def _estimate_frame(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf["fx"].to_numpy(), pdf["fy"].to_numpy(), pdf["sk"].to_numpy(),
         pdf["x0"].to_numpy(), pdf["y0"].to_numpy(),
     )
-    w = pixel_to_world(xp, yp, zc, t, q, k)
+    return xp, yp, t, q, k
+
+
+def depth_points(pdf: pd.DataFrame, xp, yp, t, q, k) -> np.ndarray:
+    """World points (n, 3) of the pixels ``xp, yp`` at the depth network's
+    estimate: each object's true camera depth with ~``NOISE_FRAC``
+    deterministic noise, floored at 0.5 m, back-projected by Eq. 5."""
+    noise = 1.0 + NOISE_FRAC * 2.0 * (
+        pseudo_uniform(
+            pdf["gt_oid"].to_numpy(np.int64), pdf["frame_idx"].to_numpy(np.int64), salt=7
+        )
+        - 0.5
+    )
+    zc = np.maximum(pdf["gt_zcam"].to_numpy(np.float64) * noise, 0.5)
+    return pixel_to_world(xp, yp, zc, t, q, k)
+
+
+def _estimate_frame(pdf: pd.DataFrame) -> pd.DataFrame:
+    """Depth-estimate all detections of one frame."""
+    cam = pdf.iloc[0]
+    _ = depth_map(cam)  # the expensive whole-image pass (workload model)
+    w = depth_points(pdf, *bbox_rays(pdf))
     out = pdf.copy()
     out["wx"], out["wy"], out["wz"] = w[:, 0], w[:, 1], np.maximum(w[:, 2], 0.0)
     out["est_src"] = "depth"

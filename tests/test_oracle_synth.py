@@ -1,46 +1,5 @@
-"""Self-tests for the provided oracle + synth_data, and the SF wrappers."""
-import pytest
-from pyspark.sql import functions as F
-
+"""Self-tests for the synth_data SF wrappers."""
 from repro import synth_data
-from repro.oracle import assert_equivalent
-
-
-def test_lineitem_oracle_roundtrip(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(
-        F.count("*").alias("n"), F.round(F.sum("l_quantity"), 2).alias("qty")
-    )
-    assert_equivalent(
-        got,
-        """SELECT l_returnflag, count(*) AS n, round(sum(l_quantity), 2) AS qty
-           FROM lineitem GROUP BY l_returnflag""",
-        lineitem=li,
-    )
-
-
-def test_orders_join_oracle(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    o = synth_data.orders(spark, sf=0.001)
-    got = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
-        .agg(F.count("*").alias("n"))
-    )
-    assert_equivalent(
-        got,
-        """SELECT o_orderpriority, count(*) AS n
-           FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-           GROUP BY o_orderpriority""",
-        lineitem=li,
-        orders=o,
-    )
-
-
-def test_zipf_keys_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.iloc[0] > 5 * counts.iloc[-1]
 
 
 def test_geospatial_video_dataset_sf_scaling():
