@@ -10,13 +10,16 @@ Listing 3:
        per-frame viewable area (from §6.1's hulls);
   (iii) newCar:     a later frame has more detections than the current.
 
-A car already inside an intersection (no containing lane) cannot be
-extrapolated, so no frame is skipped. The skip is capped at
-``MAX_SKIP`` = 13 frames — the accuracy/runtime knee of Fig. 4(c).
+A detection's lane comes from the shared construct index
+(``road_visibility.containing``); on a shared lane edge the lane with
+the lowest ``cid`` wins. A car already inside an intersection (no
+containing lane) cannot be extrapolated, so no frame is skipped. The
+skip is capped at ``MAX_SKIP`` = 13 frames — the accuracy/runtime knee
+of Fig. 4(c).
 
 Runs as a cogrouped ``applyInPandas`` per video: detections (with 3D
 locations) on one side, per-frame viewable hulls on the other; the lane
-polygons ride along as a broadcast-sized Python list.
+index rides along in the closure.
 """
 from __future__ import annotations
 
@@ -25,48 +28,37 @@ import bisect
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import types as T
 
+from repro.core.road_visibility import ConstructIndex, containing
 from repro.geo.polygon import as_poly_array, point_in_polygon, ray_exit_distance
 from repro.world.agents import SPEED_LIMIT_MPS
 
 __all__ = ["MAX_SKIP", "sample_frames_pandas", "sample_frames"]
 
 MAX_SKIP = 13
-VEHICLES = ("car", "truck")
-
-SAMPLED_SCHEMA = T.StructType(
-    [
-        T.StructField("video_id", T.StringType()),
-        T.StructField("frame_idx", T.LongType()),
-    ]
-)
-
-
-def _containing_lane(x: float, y: float, lanes: list[tuple[np.ndarray, float]]):
-    for poly, heading in lanes:
-        if point_in_polygon(x, y, poly):
-            return poly, heading
-    return None
+SAMPLED_SCHEMA = "video_id string, frame_idx long"
 
 
 def sample_frames_pandas(
     dets: pd.DataFrame,
     hulls: pd.DataFrame,
-    lanes: list[tuple[np.ndarray, float]],
+    lanes: ConstructIndex,
     *,
     fps: float,
     speed: float = SPEED_LIMIT_MPS,
     max_skip: int | None = None,
 ) -> list[int]:
-    """Run the sampling algorithm for one video; returns sampled frames.
+    """Run the sampling algorithm for one video over the ``lanes``
+    construct index; returns sampled frames.
 
     ``max_skip=None`` reads the module-level ``MAX_SKIP`` at call time
     (the Fig. 4c sweep varies it)."""
-    if max_skip is None:
-        max_skip = MAX_SKIP
+    max_skip = MAX_SKIP if max_skip is None else max_skip
     if not len(dets):
         return []
+    # Each detection's lane: the first (lowest-cid) containing one, or -1.
+    hit = containing(lanes, dets["wx"], dets["wy"])
+    dets = dets.assign(lane=np.where(hit.any(axis=1), hit.argmax(axis=1), -1))
     by_frame = {int(f): g for f, g in dets.groupby("frame_idx")}
     frames = sorted(by_frame)
     hull_by_frame = {
@@ -90,14 +82,12 @@ def sample_frames_pandas(
                 next_f = min(next_f, cand)
                 break
         # Per-car events (i) and (ii).
-        for _, det in g.iterrows():
-            x, y = float(det["wx"]), float(det["wy"])
-            lane = _containing_lane(x, y, lanes)
-            if lane is None:
+        for x, y, j in zip(g["wx"], g["wy"], g["lane"]):
+            if j < 0:
                 # In an intersection: cannot assume straight motion.
                 next_f = f + 1
                 break
-            poly, heading = lane
+            poly, heading = lanes.polys[j], float(lanes.heading[j])
             # (i) exitsLane: last frame before the motion ray leaves the lane.
             d_exit = ray_exit_distance((x, y), heading, poly)
             if np.isfinite(d_exit):
@@ -123,7 +113,7 @@ def sample_frames_pandas(
 def sample_frames(
     dets3d: DataFrame,
     hulls: DataFrame,
-    lanes: list[tuple[np.ndarray, float]],
+    lanes: ConstructIndex,
     *,
     fps: float,
     speed: float = SPEED_LIMIT_MPS,

@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.exit_frame_sampler import sample_frames
 from repro.core.geom3d import estimate_3d_geometry
 from repro.core.planner import Plan
-from repro.core.road_visibility import frame_view_hulls, prune_frames
+from repro.core.road_visibility import construct_index, frame_view_hulls, prune_frames
 from repro.core.type_pruner import prune_types
 from repro.video.costmodel import C, CostReport, tracker_cost
 from repro.video.decoder import decode
@@ -187,23 +186,17 @@ def run_video_processor(
     plan: Plan,
     *,
     fps: float,
-    road_pdf=None,
     seed: int = 0,
     efs_max_skip: int | None = None,
 ) -> VPResult:
     """Execute ``plan`` over one dataset's frames; returns objects+cost.
 
-    ``road_pdf`` (the pandas road table) is needed only when the Exit
-    Frame Sampler is in the plan (its per-video algorithm carries the
-    lane polygons as a broadcast-sized list). ``objects`` always has the
-    Movable Objects columns, whichever operators the plan left out.
+    ``objects`` always has the Movable Objects columns, whichever
+    operators the plan left out.
     """
 
     def sample_exit_frames(run, dets3):
-        if road_pdf is None:
-            raise ValueError("Exit Frame Sampler needs road_pdf for lane polygons")
-        rows = road_pdf[road_pdf["type"] == "lane"]
-        lanes = [(np.array(p), float(h)) for p, h in zip(rows["poly"], rows["heading"])]
+        lanes = construct_index(road, {"lane"})
         # View hulls of the frames the detector saw: after the RVP, if any.
         frames = run.outputs.get("rvp", run.outputs["decode"])
         hulls = frame_view_hulls(frames, plan.rvp_distance)

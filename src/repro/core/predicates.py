@@ -197,19 +197,13 @@ def conjuncts(pred: Predicate) -> list[Predicate]:
 
 
 def _entities(pred: Predicate) -> Iterator[Entity]:
-    if isinstance(pred, TypeIn):
+    if isinstance(pred, (TypeIn, TurnLeft, Stopped)):
         yield pred.obj
     elif isinstance(pred, Contains):
         yield pred.geo
         yield from pred.subjects
-    elif isinstance(pred, DistanceLt):
-        yield pred.a
-        yield pred.b
-    elif isinstance(pred, HeadingDiffBetween):
-        yield pred.a
-        yield pred.b
-    elif isinstance(pred, (TurnLeft, Stopped)):
-        yield pred.obj
+    elif isinstance(pred, (DistanceLt, HeadingDiffBetween)):
+        yield from (pred.a, pred.b)
 
 
 def object_refs(pred: Predicate) -> list[ObjectRef]:

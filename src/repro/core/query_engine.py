@@ -7,16 +7,17 @@ tables:
   location plus track-derived columns (heading, speed, turn_left,
   stopped) computed with Catalyst window functions;
 * the per-frame ``cameras`` table;
-* the ``road`` Geographic Constructs table (bbox columns standing in
-  for the spatial index: containment joins pre-filter on bbox ranges —
-  plain Catalyst range predicates — before the exact point-in-polygon
-  test).
+* the ``road`` Geographic Constructs table, read through the shared
+  construct index (``road_visibility.construct_index``) in place of
+  MobilityDB's spatial index.
 
 ``compile_filter`` translates an S-Flow predicate AST into a joined,
 filtered DataFrame: multi-object predicates become self-joins on
-(video_id, frame_idx) (the "temporal index" equi-join of the paper);
-``contains`` joins against road polygons; everything else compiles to
-Column expressions.
+(video_id, frame_idx) (the "temporal index" equi-join of the paper).
+Each construct reference is bound by a lookup, not a join: it explodes
+the constructs that contain the first subject of its first top-level
+``contains``, and every ``contains`` compiles to membership in the same
+lookup. Everything else compiles to Column expressions.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.core.predicates import (
     And,
@@ -44,11 +44,12 @@ from repro.core.predicates import (
     TurnLeft,
     TypeIn,
     camera_used,
+    conjuncts,
     geo_refs,
     object_refs,
     object_type_constraints,
 )
-from repro.geo.polygon import points_in_polygon
+from repro.core.road_visibility import construct_index, containing
 
 __all__ = ["movable_objects", "compile_filter", "result_key_columns", "combination_count"]
 
@@ -59,15 +60,25 @@ STOP_WINDOW_S = 1.0
 STOP_SPEED_MPS = 0.5
 
 
-@F.pandas_udf(T.BooleanType())
-def _pip_udf(xs: pd.Series, ys: pd.Series, polys: pd.Series) -> pd.Series:
-    """Exact point-in-polygon for (x, y, polygon) row triples."""
-    out = np.zeros(len(xs), dtype=bool)
-    for i, (x, y, poly) in enumerate(zip(xs, ys, polys)):
-        if poly is not None and x == x and y == y:  # NaN-safe
-            p = np.asarray([list(v) for v in poly], dtype=np.float64)
-            out[i] = points_in_polygon(np.array([x]), np.array([y]), p)[0]
-    return pd.Series(out)
+def _constructs_at(road: DataFrame, gtypes: set[str]):
+    """The construct lookup over ``road``'s constructs of ``gtypes``:
+    ``at(entity, gtype)`` is a column holding the (cid, heading) of every
+    construct of ``gtype`` that contains the entity's point."""
+    index = construct_index(road, gtypes)
+    entries = [
+        {"cid": int(c), "heading": None if np.isnan(h) else float(h)}
+        for c, h in zip(index.cid, index.heading)
+    ]
+
+    @F.pandas_udf("array<struct<cid: long, heading: double>>")
+    def lookup(xs: pd.Series, ys: pd.Series, t: pd.Series) -> pd.Series:
+        hit = containing(index, xs, ys) & (index.tix == t.to_numpy()[:, None])
+        return pd.Series([[entries[j] for j in np.flatnonzero(row)] for row in hit])
+
+    def at(e: Entity, gtype: str) -> Column:
+        return lookup(*_xy(e), F.lit(index.types.index(gtype)))
+
+    return at
 
 
 def _circ_diff(a: Column, b: Column) -> Column:
@@ -162,9 +173,7 @@ def combination_count(objects: DataFrame, pred: Predicate) -> int:
     objects in frame f, it is sum_f n_f*(n_f-1)*...*(n_f-k+1); k=1
     degenerates to the row count. This is why §7.1.1's Q8 (two
     self-joins) costs Spatialyze as much as EVA's simple count."""
-    from repro.core.predicates import object_refs as _refs
-
-    k = len(_refs(pred))
+    k = len(object_refs(pred))
     per = objects.groupBy("video_id", "frame_idx").count()
     expr = F.lit(1.0)
     for i in range(k):
@@ -182,43 +191,34 @@ def _alias_of(e: Entity) -> str:
 
 
 def _xy(e: Entity) -> tuple[Column, Column]:
-    a = _alias_of(e)
     if isinstance(e, CameraRef):
         return F.col("cam.cam_x"), F.col("cam.cam_y")
     if isinstance(e, ObjectRef):
-        return F.col(f"{a}.x"), F.col(f"{a}.y")
+        return F.col(f"{_alias_of(e)}.x"), F.col(f"{_alias_of(e)}.y")
     raise TypeError(f"no point location for {e}")
 
 
 def _heading(e: Entity) -> Column:
-    a = _alias_of(e)
-    if isinstance(e, CameraRef):
-        return F.col("cam.cam_heading")
-    if isinstance(e, ObjectRef):
-        return F.col(f"{a}.heading")
-    return F.col(f"{a}.heading")  # GeoRef: the segment heading
+    # The camera's, an object's motion or a construct's heading.
+    return F.col("cam.cam_heading" if isinstance(e, CameraRef) else f"{_alias_of(e)}.heading")
 
 
-def _compile_expr(pred: Predicate) -> Column:
+def _compile_expr(pred: Predicate, at) -> Column:
+    """``at(entity, gtype)`` is the constructs-containing lookup column."""
     if isinstance(pred, And):
-        return reduce(lambda a, b: a & b, (_compile_expr(p) for p in pred.parts))
+        return reduce(lambda a, b: a & b, (_compile_expr(p, at) for p in pred.parts))
     if isinstance(pred, Or):
-        return reduce(lambda a, b: a | b, (_compile_expr(p) for p in pred.parts))
+        return reduce(lambda a, b: a | b, (_compile_expr(p, at) for p in pred.parts))
     if isinstance(pred, Not):
-        return ~_compile_expr(pred.part)
+        return ~_compile_expr(pred.part, at)
     if isinstance(pred, TypeIn):
         return F.col(f"{_alias_of(pred.obj)}.otype").isin(*pred.types)
     if isinstance(pred, Contains):
-        g = _alias_of(pred.geo)
-        conds = []
-        for s in pred.subjects:
-            sx, sy = _xy(s)
-            conds.append(
-                (sx >= F.col(f"{g}.xmin")) & (sx <= F.col(f"{g}.xmax"))
-                & (sy >= F.col(f"{g}.ymin")) & (sy <= F.col(f"{g}.ymax"))
-                & _pip_udf(sx, sy, F.col(f"{g}.poly"))
-            )
-        return reduce(lambda a, b: a & b, conds)
+        cid = F.col(f"{_alias_of(pred.geo)}.cid")
+        return reduce(
+            lambda a, b: a & b,
+            (F.array_contains(at(s, pred.geo.gtype)["cid"], cid) for s in pred.subjects),
+        )
     if isinstance(pred, DistanceLt):
         ax, ay = _xy(pred.a)
         bx, by = _xy(pred.b)
@@ -233,11 +233,23 @@ def _compile_expr(pred: Predicate) -> Column:
     raise TypeError(f"cannot compile {pred!r}")
 
 
+def _binding_subjects(pred: Predicate) -> dict[GeoRef, Entity]:
+    """Each construct reference's binding subject: the first subject of
+    its first top-level ``contains``. A reference no top-level
+    ``contains`` binds (reachable only through Or/Not, or used only in a
+    heading predicate) has no defined set of constructs."""
+    bound: dict[GeoRef, Entity] = {}
+    for p in conjuncts(pred):
+        if isinstance(p, Contains):
+            bound.setdefault(p.geo, p.subjects[0])
+    for g in geo_refs(pred):
+        if g not in bound:
+            raise ValueError(f"{g} is not bound by a top-level contains()")
+    return bound
+
+
 def result_key_columns(pred: Predicate) -> list[str]:
-    cols = ["video_id", "frame_idx"]
-    for r in object_refs(pred):
-        cols.append(f"oid_{r.idx}")
-    return cols
+    return ["video_id", "frame_idx"] + [f"oid_{r.idx}" for r in object_refs(pred)]
 
 
 def compile_filter(
@@ -252,21 +264,18 @@ def compile_filter(
     """
     refs = object_refs(pred)
     cons = object_type_constraints(pred)
-    df: DataFrame | None = None
-    for r in refs:
-        o = objects.alias(_alias_of(r))
-        if df is None:
-            df = o
-        else:
-            df = df.join(
-                o,
-                (F.col(f"{_alias_of(refs[0])}.video_id") == F.col(f"{_alias_of(r)}.video_id"))
-                & (F.col(f"{_alias_of(refs[0])}.frame_idx") == F.col(f"{_alias_of(r)}.frame_idx")),
-                "inner",
-            )
-    if df is None:
+    if not refs:
         raise ValueError("predicate references no objects")
     a0 = _alias_of(refs[0])
+
+    def same_frame(a: str) -> Column:
+        return (F.col(f"{a0}.video_id") == F.col(f"{a}.video_id")) & (
+            F.col(f"{a0}.frame_idx") == F.col(f"{a}.frame_idx")
+        )
+
+    df = objects.alias(a0)
+    for r in refs[1:]:
+        df = df.join(objects.alias(_alias_of(r)), same_frame(_alias_of(r)), "inner")
     # Distinctness across object refs: '<' for interchangeable same-type
     # refs (dedup symmetric pairs), '!=' otherwise.
     for i, ri in enumerate(refs):
@@ -276,20 +285,12 @@ def compile_filter(
             cj = F.col(f"{_alias_of(rj)}.oid")
             df = df.filter(ci < cj if same else ci != cj)
     if camera_used(pred):
-        cam = cameras.alias("cam")
-        df = df.join(
-            cam,
-            (F.col(f"{a0}.video_id") == F.col("cam.video_id"))
-            & (F.col(f"{a0}.frame_idx") == F.col("cam.frame_idx")),
-            "inner",
-        )
-    for g in geo_refs(pred):
-        ga = _alias_of(g)
-        df = df.join(
-            road.filter(F.col("type") == g.gtype).alias(ga),
-            how="cross",
-        )
-    df = df.filter(_compile_expr(pred))
+        df = df.join(cameras.alias("cam"), same_frame("cam"), "inner")
+    bound = _binding_subjects(pred)
+    at = _constructs_at(road, {g.gtype for g in bound}) if bound else None
+    for g, subject in bound.items():
+        df = df.withColumn(_alias_of(g), F.explode(at(subject, g.gtype)))
+    df = df.filter(_compile_expr(pred, at))
     out_cols = [
         F.col(f"{a0}.video_id").alias("video_id"),
         F.col(f"{a0}.frame_idx").alias("frame_idx"),

@@ -9,15 +9,20 @@ type is visible.
 
 Spark shape: one narrow ``mapInPandas`` over the frames stream, with no
 join or shuffle. The constructs of the requested types are collected once
-on the driver into a broadcast bbox index (type, polygon and bbox arrays
-in the closure). Per Arrow batch, a vectorized frames x constructs bbox
-overlap picks candidates and the exact convex SAT test decides them. A
-road network holds tens to hundreds of constructs, so a partitioned grid
-equi-join (GeoSpark/Sedona style) would only add shuffles and a dedup.
+on the driver into a :class:`ConstructIndex` that rides in the closure.
+Per Arrow batch, a vectorized frames x constructs bbox overlap picks
+candidates and the exact convex SAT test decides them. A road network
+holds tens to hundreds of constructs, so a partitioned grid equi-join
+(GeoSpark/Sedona style) would only add shuffles and a dedup.
+
+The same index is the only way any stage tests points against road
+polygons: :func:`containing` (bbox pre-filter, then point-in-polygon)
+binds the query engine's ``contains`` and the Exit Frame Sampler's lanes.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -25,9 +30,10 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.geo.camera import intrinsic_matrix, view_hull_points
-from repro.geo.polygon import as_poly_array, convex_hull, convex_intersects
+from repro.geo.polygon import as_poly_array, convex_hull, convex_intersects, points_in_polygon
 
-__all__ = ["frame_view_hulls", "visible_construct_types", "prune_frames"]
+__all__ = ["ConstructIndex", "construct_index", "containing", "frame_view_hulls",
+           "visible_construct_types", "prune_frames"]
 
 HULL_SCHEMA = ("video_id string, frame_idx long, hull array<array<double>>, "
                "hxmin double, hymin double, hxmax double, hymax double")
@@ -68,23 +74,52 @@ def frame_view_hulls(frames: DataFrame, distance: float) -> DataFrame:
     return frames.mapInPandas(run, schema=HULL_SCHEMA)
 
 
-def construct_index(road: DataFrame, geo_types: set[str]):
-    """Driver-side index of the constructs of ``geo_types``: the sorted
-    type names and, per construct, its type's position, polygon and bbox."""
+class ConstructIndex(NamedTuple):
+    """The road constructs of some types, in ``cid`` order: the sorted type
+    names and, per construct, its type's position, cid, heading (NaN if
+    none), polygon and bbox."""
+
+    types: list[str]
+    tix: np.ndarray
+    cid: np.ndarray
+    heading: np.ndarray
+    polys: list[np.ndarray]
+    bbox: np.ndarray
+
+
+def construct_index(road: DataFrame, geo_types) -> ConstructIndex:
+    """Collect the constructs of ``geo_types`` from ``road`` to the driver."""
     types = sorted(str(t) for t in geo_types)
-    rows = road.filter(F.col("type").isin(*types)).select(
-        "type", "poly", "xmin", "ymin", "xmax", "ymax"
-    ).collect()
-    tix = np.array([types.index(r["type"]) for r in rows], dtype=np.int64)
-    polys = [as_poly_array(r["poly"]) for r in rows]
-    bbox = np.array([r[2:] for r in rows], dtype=np.float64).reshape(-1, 4)
-    return types, tix, polys, bbox
+    # Rows are tuples with the unique cid first: sorting orders them by cid.
+    rows = sorted(road.filter(F.col("type").isin(*types)).select(
+        "cid", "type", "heading", "poly", "xmin", "ymin", "xmax", "ymax").collect())
+    return ConstructIndex(
+        types,
+        np.array([types.index(r["type"]) for r in rows], dtype=np.int64),
+        np.array([r["cid"] for r in rows], dtype=np.int64),
+        np.array([r["heading"] for r in rows], dtype=np.float64),
+        [as_poly_array(r["poly"]) for r in rows],
+        np.array([r[4:] for r in rows], dtype=np.float64).reshape(-1, 4),
+    )
 
 
-def visible_pandas(pdf: pd.DataFrame, index, distance: float) -> np.ndarray:
+def containing(index: ConstructIndex, xs, ys) -> np.ndarray:
+    """(point, construct) containment matrix: an inclusive bbox pre-filter
+    picks the candidates, ``points_in_polygon`` decides them."""
+    x = np.asarray(xs, dtype=np.float64)[:, None]
+    y = np.asarray(ys, dtype=np.float64)[:, None]
+    b = index.bbox
+    hit = (x >= b[:, 0]) & (x <= b[:, 2]) & (y >= b[:, 1]) & (y <= b[:, 3])
+    for j in np.nonzero(hit.any(axis=0))[0]:
+        i = np.nonzero(hit[:, j])[0]
+        hit[i, j] = points_in_polygon(x[i, 0], y[i, 0], index.polys[j])
+    return hit
+
+
+def visible_pandas(pdf: pd.DataFrame, index: ConstructIndex, distance: float) -> np.ndarray:
     """(frame, type) visibility matrix for a chunk of frames: bbox overlap
     picks the candidate constructs, the convex SAT test decides them."""
-    types, tix, polys, bbox = index
+    bbox, tix = index.bbox, index.tix
     h = hulls_pandas(pdf, distance)
     hb = h[["hxmin", "hymin", "hxmax", "hymax"]].to_numpy(np.float64)
     cand = (
@@ -92,10 +127,10 @@ def visible_pandas(pdf: pd.DataFrame, index, distance: float) -> np.ndarray:
         & (hb[:, None, 1] <= bbox[None, :, 3]) & (hb[:, None, 3] >= bbox[None, :, 1])
     )
     hulls = [np.asarray(x, dtype=np.float64) for x in h["hull"]]
-    vis = np.zeros((len(pdf), len(types)), dtype=bool)
+    vis = np.zeros((len(pdf), len(index.types)), dtype=bool)
     for i, j in zip(*np.nonzero(cand)):
         if not vis[i, tix[j]]:
-            vis[i, tix[j]] = convex_intersects(hulls[i], polys[j])
+            vis[i, tix[j]] = convex_intersects(hulls[i], index.polys[j])
     return vis
 
 
@@ -105,7 +140,7 @@ def visible_construct_types(
     """(video_id, frame_idx, type) rows for every construct type of
     interest visible in the frame's viewable area."""
     index = construct_index(road, geo_types)
-    types = np.array(index[0], dtype=object)
+    types = np.array(index.types, dtype=object)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:

@@ -28,7 +28,7 @@ from repro.core.planner import ALL_OPTIMIZATIONS, Plan, plan_workflow
 from repro.core.predicates import And, Predicate
 from repro.core.query_engine import combination_count, compile_filter, movable_objects
 from repro.video.costmodel import C, CostReport
-from repro.world.datasets import ROAD_SCHEMA, Dataset
+from repro.world.datasets import Dataset, road_table
 from repro.world.roadnetwork import RoadNetwork
 
 __all__ = ["GeospatialVideo", "World"]
@@ -106,12 +106,8 @@ class World:
         cams = pd.concat([v.cameras for v in self._videos], ignore_index=True)
         gt = pd.concat([v.content for v in self._videos], ignore_index=True)
         assert self._road is not None, "add_geog_constructs() first"
-        road = self.spark.createDataFrame(self._road.df.to_dict("records"), schema=ROAD_SCHEMA)
-        return (
-            self.spark.createDataFrame(cams),
-            self.spark.createDataFrame(gt),
-            road,
-        )
+        sdf = self.spark.createDataFrame
+        return sdf(cams), sdf(gt), road_table(self.spark, self._road)
 
     def execute(self) -> tuple[DataFrame, CostReport]:
         """Run all four stages; returns (query result, total cost)."""
@@ -127,9 +123,7 @@ class World:
         cost.add("integrate", n_constructs + n_frames,
                  n_constructs * C.INTEGRATE_CONSTRUCT + n_frames * C.INTEGRATE_FRAME)
         # ② Video Processor.
-        vp = run_video_processor(
-            cams, gt, road, self._plan, fps=self.fps, road_pdf=self._road.df, seed=self.seed
-        )
+        vp = run_video_processor(cams, gt, road, self._plan, fps=self.fps, seed=self.seed)
         self._vp = vp
         cost.merge(vp.cost)
         # ③ Movable Objects Query Engine.

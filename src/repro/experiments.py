@@ -71,7 +71,7 @@ def run_setup(
     plan = plan_workflow(pred, optimizations=SETUPS[setup])
     vp = run_video_processor(
         ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark), plan, fps=ds.fps,
-        road_pdf=ds.road.df, seed=seed, efs_max_skip=efs_max_skip,
+        seed=seed, efs_max_skip=efs_max_skip,
     )
     cols = [c for c in TRACK_COLS if c in vp.objects.columns]
     tracked = vp.objects.select(*cols).toPandas() if plan.include_tracker else pd.DataFrame(

@@ -76,7 +76,7 @@ def viva_comparison(spark: SparkSession, ds: Dataset, *, target_fps: float = 1.0
     _, viva_cost = run_viva(cams, gt, road, pred, fps=target_fps)
     # Spatialyze side: same models at the same resolution, DeepSORT.
     plan = plan_workflow(pred, tracker_variant="deepsort")
-    vp = run_video_processor(cams, gt, road, plan, fps=target_fps, road_pdf=sub.road.df)
+    vp = run_video_processor(cams, gt, road, plan, fps=target_fps)
     objects = movable_objects(vp.objects, fps=target_fps)
     n_rows = objects.count()
     sp_cost = _scale_lowres(vp.cost).add("query_engine", n_rows, n_rows * C.QUERY_ROW)
@@ -107,7 +107,7 @@ def devkit_comparison(
     # object table is built without the Object Type Pruner; type filters
     # are part of the queries, evaluated by each engine itself.
     plan = plan_workflow(query("Q2"), optimizations=frozenset({"geom3d"}))
-    vp = run_video_processor(cams, gt, road, plan, fps=ds.fps, road_pdf=ds.road.df)
+    vp = run_video_processor(cams, gt, road, plan, fps=ds.fps)
     objects_sdf = movable_objects(vp.objects, fps=ds.fps).persist()
     objects_pdf = objects_sdf.toPandas()
     cams_pdf = ds.cameras

@@ -17,30 +17,21 @@ from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 from repro.world.agents import simulate_car_path, simulate_objects
 from repro.world.roadnetwork import RoadNetwork, grid_road_network
 from repro.world.scenes import NUSC_INTRINSIC, camera_table, waypoint_path
 
-__all__ = ["Dataset", "nuscenes_lite", "jackson_lite", "skyquery_lite", "road_schema"]
+__all__ = ["Dataset", "nuscenes_lite", "jackson_lite", "skyquery_lite", "road_table"]
 
-ROAD_SCHEMA = T.StructType(
-    [
-        T.StructField("cid", T.LongType()),
-        T.StructField("type", T.StringType()),
-        T.StructField("poly", T.ArrayType(T.ArrayType(T.DoubleType()))),
-        T.StructField("heading", T.DoubleType()),
-        T.StructField("xmin", T.DoubleType()),
-        T.StructField("ymin", T.DoubleType()),
-        T.StructField("xmax", T.DoubleType()),
-        T.StructField("ymax", T.DoubleType()),
-    ]
-)
+ROAD_SCHEMA = ("cid long, type string, poly array<array<double>>, heading double, "
+               "xmin double, ymin double, xmax double, ymax double")
 
 
-def road_schema() -> T.StructType:
-    return ROAD_SCHEMA
+def road_table(spark: SparkSession, road: RoadNetwork) -> DataFrame:
+    """The road table as a Spark ``LocalRelation``: collecting it, as the
+    construct index does, runs no Spark job."""
+    return spark.createDataFrame(road.df, schema=ROAD_SCHEMA)
 
 
 @dataclass
@@ -54,8 +45,7 @@ class Dataset:
     fps: float
 
     def road_sdf(self, spark: SparkSession) -> DataFrame:
-        rows = self.road.df.to_dict("records")
-        return spark.createDataFrame(rows, schema=ROAD_SCHEMA)
+        return road_table(spark, self.road)
 
     def cameras_sdf(self, spark: SparkSession) -> DataFrame:
         return spark.createDataFrame(self.cameras)

@@ -2,8 +2,20 @@
 import numpy as np
 import pandas as pd
 
+from repro.geo.polygon import polygon_bbox
 from repro.world.agents import DIMS
+from repro.world.roadnetwork import RoadNetwork
 from repro.world.scenes import camera_table
+
+
+def road_of(constructs) -> RoadNetwork:
+    """A road holding only ``constructs``: (cid, type, polygon, heading)."""
+    rows = [
+        {"cid": cid, "type": ctype, "poly": np.asarray(poly).tolist(), "heading": heading,
+         **dict(zip(("xmin", "ymin", "xmax", "ymax"), polygon_bbox(poly)))}
+        for cid, ctype, poly, heading in constructs
+    ]
+    return RoadNetwork(df=pd.DataFrame(rows))
 
 
 def make_frames(

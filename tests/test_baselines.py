@@ -10,7 +10,7 @@ from repro.baselines.skyquery import run_skyquery, run_spatialyze_with_skyquery_
 from repro.baselines.viva import PLAN_SEARCH_MS, resample_fps, run_viva
 from repro.core import predicates as P
 from repro.core.queries import query
-from repro.world.datasets import ROAD_SCHEMA, nuscenes_lite, skyquery_lite
+from repro.world.datasets import nuscenes_lite, road_table, skyquery_lite
 from repro.world.roadnetwork import grid_road_network
 
 
@@ -24,7 +24,7 @@ def tiny_sdfs(spark, tiny_ds):
     return (
         spark.createDataFrame(tiny_ds.cameras),
         spark.createDataFrame(tiny_ds.gt),
-        spark.createDataFrame(tiny_ds.road.df.to_dict("records"), schema=ROAD_SCHEMA),
+        road_table(spark, tiny_ds.road),
     )
 
 
@@ -131,7 +131,7 @@ def test_devkit_matches_engine_semantics(spark, devkit_tables):
         compile_filter(
             spark.createDataFrame(objects),
             spark.createDataFrame(cams_full),
-            spark.createDataFrame(road.df.to_dict("records"), schema=ROAD_SCHEMA),
+            road_table(spark, road),
             pred,
         )
         .select("video_id", "frame_idx", "oid_0", "oid_1")
@@ -187,7 +187,7 @@ def sky(spark):
     return ds, (
         spark.createDataFrame(ds.cameras),
         spark.createDataFrame(ds.gt),
-        spark.createDataFrame(ds.road.df.to_dict("records"), schema=ROAD_SCHEMA),
+        road_table(spark, ds.road),
     )
 
 

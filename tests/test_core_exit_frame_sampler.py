@@ -4,12 +4,27 @@ import pandas as pd
 import pytest
 
 from repro.core.exit_frame_sampler import MAX_SKIP, sample_frames, sample_frames_pandas
+from repro.core.road_visibility import construct_index
 from repro.geo.polygon import rect_polygon, ray_exit_distance
 from repro.world.agents import SPEED_LIMIT_MPS
+from repro.world.datasets import road_table
+from tests.helpers import road_of
 
 FPS = 12.0
 BIG_HULL = rect_polygon(-1000, -1000, 1000, 1000).tolist()
 LANE = (rect_polygon(0.0, -3.5, 200.0, 0.0), 0.0)  # long eastbound lane
+WEST_LANE = (rect_polygon(0.0, 0.0, 200.0, 3.5), 180.0)  # shares LANE's y=0 edge
+
+
+def _lane_index(spark, lanes):
+    """Construct index of a road holding only ``lanes``: (cid, (polygon, heading))."""
+    road = road_of([(cid, "lane", poly, heading) for cid, (poly, heading) in lanes])
+    return construct_index(road_table(spark, road), {"lane"})
+
+
+@pytest.fixture(scope="module")
+def lanes(spark):
+    return _lane_index(spark, [(0, LANE)])
 
 
 def _dets(rows):
@@ -37,78 +52,94 @@ def test_ray_exit_distance_in_lane():
     assert ray_exit_distance((10.0, -1.75), 90.0, LANE[0]) == pytest.approx(1.75)
 
 
-def test_far_from_exit_samples_max_skip():
+def test_far_from_exit_samples_max_skip(lanes):
     # Car mid-lane: exitsLane is ~200 frames away; samples every MAX_SKIP.
     dets = _dets(_car_rows(40))
-    sampled = sample_frames_pandas(dets, _hulls(40), [LANE], fps=FPS)
+    sampled = sample_frames_pandas(dets, _hulls(40), lanes, fps=FPS)
     assert sampled[0] == 0
     assert sampled[1] == MAX_SKIP
     diffs = np.diff(sampled)
     assert (diffs == MAX_SKIP).all()
 
 
-def test_exits_lane_event_samples_before_exit():
+def test_exits_lane_event_samples_before_exit(lanes):
     # Car 5 m from the lane end at 25 mph: exits after ~5.4 frames.
     dets = _dets([(f, 195.0 + SPEED_LIMIT_MPS * f / FPS, -1.75) for f in range(12)])
-    sampled = sample_frames_pandas(dets, _hulls(12), [LANE], fps=FPS)
+    sampled = sample_frames_pandas(dets, _hulls(12), lanes, fps=FPS)
     expected = int(np.floor(5.0 / SPEED_LIMIT_MPS * FPS))  # frame 5
     assert sampled[1] == expected
 
 
-def test_car_in_intersection_no_skip():
+def test_car_in_intersection_no_skip(lanes):
     # Car outside any lane (in an intersection): every frame sampled.
     dets = _dets([(f, 300.0, 50.0) for f in range(6)])
-    sampled = sample_frames_pandas(dets, _hulls(6), [LANE], fps=FPS)
+    sampled = sample_frames_pandas(dets, _hulls(6), lanes, fps=FPS)
     assert sampled == [0, 1, 2, 3, 4, 5]
 
 
-def test_exits_camera_event():
+def test_exits_camera_event(lanes):
     # Hull only covers x < 20: the car leaves the view after ~10 frames.
     hull = rect_polygon(-10, -10, 20, 10).tolist()
     dets = _dets(_car_rows(30))
-    sampled = sample_frames_pandas(dets, _hulls(30, hull), [LANE], fps=FPS)
+    sampled = sample_frames_pandas(dets, _hulls(30, hull), lanes, fps=FPS)
     # Car at x=10+0.93f: leaves hull (x>20) at f~=11 -> sample f=10.
     assert sampled[1] in (9, 10)
 
 
-def test_new_car_event():
+def test_new_car_event(lanes):
     # A second car appears at frame 4: sampling must include frame 4.
     rows = _car_rows(30)
     rows += [(f, 50.0, -1.75) for f in range(4, 30)]
     dets = _dets(rows)
-    sampled = sample_frames_pandas(dets, _hulls(30), [LANE], fps=FPS)
+    sampled = sample_frames_pandas(dets, _hulls(30), lanes, fps=FPS)
     assert 4 in sampled
 
 
-def test_missing_hull_stops_skip():
+def test_missing_hull_stops_skip(lanes):
     # Frames 5.. have no hull rows (e.g. pruned upstream): the car "exits
     # the camera" at frame 5, so frame 4 is sampled.
     dets = _dets(_car_rows(20))
     hulls = _hulls(5)
-    sampled = sample_frames_pandas(dets, hulls, [LANE], fps=FPS)
+    sampled = sample_frames_pandas(dets, hulls, lanes, fps=FPS)
     assert sampled[1] == 4
 
 
-def test_empty_dets():
-    assert sample_frames_pandas(_dets([]), _hulls(5), [LANE], fps=FPS) == []
+def test_empty_dets(lanes):
+    assert sample_frames_pandas(_dets([]), _hulls(5), lanes, fps=FPS) == []
 
 
-def test_always_advances():
+def test_always_advances(lanes):
     # Pathological inputs can never loop forever: strictly increasing.
     dets = _dets([(f, 0.0, 0.0) for f in range(10)])  # on lane corner
-    sampled = sample_frames_pandas(dets, _hulls(10), [LANE], fps=FPS)
+    sampled = sample_frames_pandas(dets, _hulls(10), lanes, fps=FPS)
     assert all(b > a for a, b in zip(sampled, sampled[1:]))
 
 
-def test_reduction_fraction_reasonable():
+def test_reduction_fraction_reasonable(lanes):
     # A single cruising car: EFS should skip the large majority of
     # frames (paper: per-frame tracking runtime drops to ~28-39 %).
     dets = _dets(_car_rows(120, x0=5.0))
-    sampled = sample_frames_pandas(dets, _hulls(120), [LANE], fps=FPS)
+    sampled = sample_frames_pandas(dets, _hulls(120), lanes, fps=FPS)
     assert len(sampled) <= 120 / 8
 
 
-def test_sample_frames_spark(spark):
+@pytest.mark.parametrize("cids, decides", [((0, 1), "east"), ((1, 0), "west")])
+def test_shared_lane_edge_lowest_cid_decides(spark, cids, decides):
+    # A car on the edge shared by an eastbound and a westbound lane is in
+    # both; the lane with the lower cid gives its heading and polygon.
+    # The road table lists LANE first either way.
+    index = _lane_index(spark, [(cids[0], LANE), (cids[1], WEST_LANE)])
+    dets = _dets([(f, 10.0 + SPEED_LIMIT_MPS * f / FPS, 0.0) for f in range(30)])
+    sampled = sample_frames_pandas(dets, _hulls(30), index, fps=FPS)
+    if decides == "east":
+        # 190 m to the east end: a full MAX_SKIP stride.
+        assert sampled[:3] == [0, MAX_SKIP, 2 * MAX_SKIP]
+    else:
+        # 10 m to the west end: the car exits after ~10.7 frames.
+        assert sampled[1] == int(np.floor(10.0 / SPEED_LIMIT_MPS * FPS))
+
+
+def test_sample_frames_spark(spark, lanes):
     dets = _dets(_car_rows(40))
     dets["video_id"] = "v0"
     hulls = _hulls(40)
@@ -116,8 +147,8 @@ def test_sample_frames_spark(spark):
     out = sample_frames(
         spark.createDataFrame(dets),
         spark.createDataFrame(hulls),
-        [LANE],
+        lanes,
         fps=FPS,
     ).toPandas()
-    assert list(out["frame_idx"]) == sample_frames_pandas(dets, hulls, [LANE], fps=FPS)
+    assert list(out["frame_idx"]) == sample_frames_pandas(dets, hulls, lanes, fps=FPS)
     assert (out["video_id"] == "v0").all()

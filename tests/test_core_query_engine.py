@@ -4,18 +4,21 @@ Result-equality tests run the compiled Spark query against hand-written
 DuckDB SQL via the oracle. Our road polygons are axis-aligned
 rectangles, so DuckDB can express ``contains`` as BETWEEN while Spark
 runs the general point-in-polygon path — if they agree, the spatial join
-machinery is right.
+machinery is right. Non-rectangular constructs are checked against
+``points_in_polygon`` directly.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import predicates as P
+from repro.core.queries import query
 from repro.core.query_engine import compile_filter, movable_objects
+from repro.geo.polygon import points_in_polygon, polygon_bbox
 from repro.oracle import assert_equivalent
-from repro.world.datasets import ROAD_SCHEMA
+from repro.world.datasets import road_table
 from repro.world.roadnetwork import grid_road_network
-from tests.helpers import make_frames
+from tests.helpers import make_frames, road_of
 
 FPS = 12.0
 
@@ -67,7 +70,7 @@ def engine_tables(spark, road, objects_pdf, cams_pdf):
     return (
         spark.createDataFrame(objects_pdf),
         spark.createDataFrame(cams_pdf),
-        spark.createDataFrame(road.df.to_dict("records"), schema=ROAD_SCHEMA),
+        road_table(spark, road),
     )
 
 
@@ -223,6 +226,182 @@ def test_empty_result_ok(engine_tables, road):
     )
     got = compile_filter(objects, cams, road_sdf, pred)
     assert got.count() == 0
+
+
+# ---------------------------------------------------------------- lane lookups
+
+# (video, oid, x, y, heading): cars placed in the lanes of ``road`` around
+# each camera — lane 9 (eastbound, y in [-3.5, 0]) and lane 10 (westbound,
+# y in [0, 3.5]) for v0; lanes 19/20 (y in [66.5, 70] / [70, 73.5]) for
+# v1. Oid 3 sits on the edge the two lanes share, oid 4 in an
+# intersection, oid 5 out of camera range, oid 7 is a truck.
+LANE_CARS = [
+    ("v0", 0, 15.0, -1.75, 0.0), ("v0", 1, 30.0, 1.75, 180.0), ("v0", 2, 40.0, 1.75, 180.0),
+    ("v0", 3, 25.0, 0.0, 0.0), ("v0", 4, 0.0, 0.0, 90.0), ("v0", 5, 80.0, -1.75, 0.0),
+    ("v0", 6, 20.0, 2.5, 170.0), ("v0", 7, 35.0, -1.0, 0.0),
+    ("v1", 0, 40.0, 68.25, 0.0), ("v1", 1, 30.0, 71.75, 180.0), ("v1", 2, 50.0, 71.75, 185.0),
+    ("v1", 3, 45.0, 70.0, 180.0), ("v1", 6, 20.0, 72.0, 175.0),
+]
+
+
+@pytest.fixture(scope="module")
+def lane_objects_pdf():
+    rows = []
+    for vid, oid, x, y, hd in LANE_CARS:
+        for f in range(6):
+            rows.append(
+                {
+                    "video_id": vid, "frame_idx": f, "ts": f / FPS, "oid": oid,
+                    "otype": "truck" if oid == 7 else "car",
+                    "x": x + 0.5 * f * np.cos(np.deg2rad(hd)), "y": y, "z": 0.0,
+                    "heading": hd % 360.0, "speed": 6.0, "turn_left": False, "stopped": False,
+                }
+            )
+    return pd.DataFrame(rows)
+
+
+CIRC = "least(abs({a} - {b}), 360 - abs({a} - {b}))"
+IN = "{o}.x BETWEEN {g}.xmin AND {g}.xmax AND {o}.y BETWEEN {g}.ymin AND {g}.ymax"
+
+
+def test_three_lane_refs_oracle(spark, road, lane_objects_pdf, cams_pdf):
+    # Q8's shape: three cars, each on its own lane reference.
+    cars = [P.obj(i) for i in range(3)]
+    pred = P.And(
+        (
+            *[P.type_in(c, "car") for c in cars],
+            *[P.contains(P.geo_construct("lane", i), c) for i, c in enumerate(cars)],
+            *[P.distance_lt(P.camera(), c, 50.0) for c in cars],
+        )
+    )
+    got = compile_filter(
+        spark.createDataFrame(lane_objects_pdf), spark.createDataFrame(cams_pdf),
+        road_table(spark, road), pred,
+    ).select("video_id", "frame_idx", "oid_0", "oid_1", "oid_2")
+    sql = f"""
+        SELECT DISTINCT o1.video_id AS video_id, o1.frame_idx AS frame_idx,
+               o1.oid AS oid_0, o2.oid AS oid_1, o3.oid AS oid_2
+        FROM objects o1
+        JOIN objects o2 ON o2.video_id = o1.video_id AND o2.frame_idx = o1.frame_idx
+        JOIN objects o3 ON o3.video_id = o1.video_id AND o3.frame_idx = o1.frame_idx
+        JOIN cams c ON c.video_id = o1.video_id AND c.frame_idx = o1.frame_idx
+        JOIN road g1 ON g1.type = 'lane' AND {IN.format(o='o1', g='g1')}
+        JOIN road g2 ON g2.type = 'lane' AND {IN.format(o='o2', g='g2')}
+        JOIN road g3 ON g3.type = 'lane' AND {IN.format(o='o3', g='g3')}
+        WHERE o1.otype = 'car' AND o2.otype = 'car' AND o3.otype = 'car'
+          AND o1.oid < o2.oid AND o1.oid < o3.oid AND o2.oid < o3.oid
+          AND {DIST.format(o='o1')} AND {DIST.format(o='o2')} AND {DIST.format(o='o3')}
+    """
+    assert got.count() > 0
+    assert_equivalent(got, sql, objects=lane_objects_pdf, cams=cams_pdf, road=_duck_road(road))
+
+
+def test_opposite_lane_refs_oracle(spark, road, lane_objects_pdf, cams_pdf):
+    # Q4's shape: two lane references tied by opposite(lane1, lane2).
+    car1, car2, car3 = P.obj(0), P.obj(1), P.obj(2)
+    lane1, lane2 = P.geo_construct("lane", 0), P.geo_construct("lane", 1)
+    pred = P.And(
+        (
+            P.type_in(car1, "car"), P.type_in(car2, "car"), P.type_in(car3, "car"),
+            P.contains(lane1, [car1, P.camera()]),
+            P.same_direction(car1, P.camera()),
+            P.contains(lane2, [car2, car3]),
+            P.same_direction(car2, car3),
+            P.opposite(lane1, lane2),
+            *[P.distance_lt(P.camera(), c, 50.0) for c in (car1, car2, car3)],
+        )
+    )
+    got = compile_filter(
+        spark.createDataFrame(lane_objects_pdf), spark.createDataFrame(cams_pdf),
+        road_table(spark, road), pred,
+    ).select("video_id", "frame_idx", "oid_0", "oid_1", "oid_2")
+    sql = f"""
+        SELECT DISTINCT o1.video_id AS video_id, o1.frame_idx AS frame_idx,
+               o1.oid AS oid_0, o2.oid AS oid_1, o3.oid AS oid_2
+        FROM objects o1
+        JOIN objects o2 ON o2.video_id = o1.video_id AND o2.frame_idx = o1.frame_idx
+        JOIN objects o3 ON o3.video_id = o1.video_id AND o3.frame_idx = o1.frame_idx
+        JOIN cams c ON c.video_id = o1.video_id AND c.frame_idx = o1.frame_idx
+        JOIN road g1 ON g1.type = 'lane' AND {IN.format(o='o1', g='g1')}
+         AND c.cam_x BETWEEN g1.xmin AND g1.xmax AND c.cam_y BETWEEN g1.ymin AND g1.ymax
+        JOIN road g2 ON g2.type = 'lane' AND {IN.format(o='o2', g='g2')}
+         AND {IN.format(o='o3', g='g2')}
+        WHERE o1.otype = 'car' AND o2.otype = 'car' AND o3.otype = 'car'
+          AND o1.oid < o2.oid AND o1.oid < o3.oid AND o2.oid < o3.oid
+          AND {CIRC.format(a='o1.heading', b='c.cam_heading')} BETWEEN 0 AND 40
+          AND {CIRC.format(a='o2.heading', b='o3.heading')} BETWEEN 0 AND 40
+          AND {CIRC.format(a='g1.heading', b='g2.heading')} BETWEEN 140 AND 180
+          AND {DIST.format(o='o1')} AND {DIST.format(o='o2')} AND {DIST.format(o='o3')}
+    """
+    assert got.count() > 0
+    assert_equivalent(got, sql, objects=lane_objects_pdf, cams=cams_pdf, road=_duck_road(road))
+
+
+def test_non_rectangular_constructs_match_points_in_polygon(spark, cams_pdf):
+    # A triangle and a diamond: their bboxes hold points the polygons do
+    # not, and some grid points fall exactly on their edges.
+    polys = [
+        np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]]),
+        np.array([[50.0, 0.0], [60.0, 10.0], [50.0, 20.0], [40.0, 10.0]]),
+    ]
+    road = road_of([(cid, "intersection", p, np.nan) for cid, p in enumerate(polys)])
+    gx, gy = np.meshgrid(np.arange(-2.0, 63.0, 2.5), np.arange(-2.0, 23.0, 2.5))
+    xs, ys = gx.ravel(), gy.ravel()
+    objects = pd.DataFrame(
+        {"video_id": "v0", "frame_idx": 0, "ts": 0.0, "oid": np.arange(len(xs)), "otype": "car",
+         "x": xs, "y": ys, "z": 0.0, "heading": 0.0, "speed": 0.0,
+         "turn_left": False, "stopped": False}
+    )
+    inside = np.zeros(len(xs), dtype=bool)
+    in_bbox = np.zeros(len(xs), dtype=bool)
+    for p in polys:
+        inside |= points_in_polygon(xs, ys, p)
+        x0, y0, x1, y1 = polygon_bbox(p)
+        in_bbox |= (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+    assert (in_bbox & ~inside).sum() > 20 and inside.sum() > 20
+    pred = P.And(
+        (P.type_in(P.obj(0), "car"), P.contains(P.geo_construct("intersection"), P.obj(0)))
+    )
+    got = compile_filter(
+        spark.createDataFrame(objects), spark.createDataFrame(cams_pdf),
+        road_table(spark, road), pred,
+    ).toPandas()
+    assert sorted(got["oid_0"]) == list(np.flatnonzero(inside))
+
+
+@pytest.mark.parametrize("name", ["Q3", "Q4", "Q8"])
+def test_contains_plan_has_no_nested_loop_join(engine_tables, name):
+    objects, cams, road_sdf = engine_tables
+    got = compile_filter(objects, cams, road_sdf, query(name))
+    got.collect()
+    plan = got._jdf.queryExecution().executedPlan().toString()
+    assert "CartesianProduct" not in plan and "BroadcastNestedLoopJoin" not in plan
+    assert "Generate" in plan
+
+
+@pytest.mark.parametrize(
+    "pred, unbound",
+    [
+        # Reachable only through Or.
+        (P.And((P.type_in(P.obj(0), "car"),
+                P.Or((P.contains(P.geo_construct("lane"), P.obj(0)),
+                      P.stopped(P.obj(0)))))), "GeoRef(gtype='lane', idx=0)"),
+        # Reachable only through Not.
+        (P.And((P.type_in(P.obj(0), "car"),
+                P.Not(P.contains(P.geo_construct("intersection"), P.obj(0))))),
+         "GeoRef(gtype='intersection', idx=0)"),
+        # Used only in a heading predicate, next to a bound reference.
+        (P.And((P.type_in(P.obj(0), "car"),
+                P.contains(P.geo_construct("lane"), P.obj(0)),
+                P.opposite(P.geo_construct("lane"), P.geo_construct("lane", 1)))),
+         "GeoRef(gtype='lane', idx=1)"),
+    ],
+)
+def test_unbound_geo_ref_is_named(engine_tables, pred, unbound):
+    objects, cams, road_sdf = engine_tables
+    with pytest.raises(ValueError) as err:
+        compile_filter(objects, cams, road_sdf, pred)
+    assert unbound in str(err.value)
 
 
 # ---------------------------------------------------------------- movable_objects

@@ -11,7 +11,7 @@ from repro.core.road_visibility import (
 )
 from repro.geo.polygon import convex_intersects, point_in_polygon
 from repro.video.decoder import decode
-from repro.world.datasets import ROAD_SCHEMA, nuscenes_lite
+from repro.world.datasets import nuscenes_lite, road_table
 from repro.world.roadnetwork import grid_road_network
 from tests.helpers import make_frames
 
@@ -19,10 +19,6 @@ from tests.helpers import make_frames
 @pytest.fixture(scope="module")
 def road():
     return grid_road_network(3, 3, spacing=70.0)
-
-
-def road_sdf(spark, road):
-    return spark.createDataFrame(road.df.to_dict("records"), schema=ROAD_SCHEMA)
 
 
 def test_hulls_pandas_geometry():
@@ -60,7 +56,7 @@ def test_visible_types_camera_facing_intersection(spark, road):
     # ahead: visible. Lanes are visible too.
     frames = spark.createDataFrame(make_frames(2, pos=(30.0, -1.75), heading=0.0))
     vis = visible_construct_types(
-        decode(frames), road_sdf(spark, road), {"intersection", "lane"}, 50.0
+        decode(frames), road_table(spark, road), {"intersection", "lane"}, 50.0
     ).toPandas()
     types = set(vis["type"])
     assert types == {"intersection", "lane"}
@@ -72,7 +68,7 @@ def test_no_intersection_when_looking_away(spark, road):
     # the narrow cone ahead is visible: no intersection within 50 m.
     frames = spark.createDataFrame(make_frames(1, pos=(35.0, -1.75), heading=90.0))
     vis = visible_construct_types(
-        decode(frames), road_sdf(spark, road), {"intersection"}, 50.0
+        decode(frames), road_table(spark, road), {"intersection"}, 50.0
     ).toPandas()
     assert len(vis) == 0
 
@@ -82,7 +78,7 @@ def test_prune_frames_keeps_and_drops(spark, road):
     f_yes = make_frames(3, pos=(30.0, -1.75), heading=0.0, video_id="yes")
     f_no = make_frames(3, pos=(35.0, -1.75), heading=90.0, video_id="no")
     frames = spark.createDataFrame(pd.concat([f_yes, f_no], ignore_index=True))
-    kept = prune_frames(decode(frames), road_sdf(spark, road), {"intersection"}, 50.0).toPandas()
+    kept = prune_frames(decode(frames), road_table(spark, road), {"intersection"}, 50.0).toPandas()
     assert set(kept["video_id"]) == {"yes"}
     assert len(kept) == 3
 
@@ -94,10 +90,10 @@ def test_prune_frames_requires_all_types(spark, road):
     # but no bike lane (the nearest ones are at y=0/140 and x=70 behind).
     frames = spark.createDataFrame(make_frames(2, pos=(40.0, 70 + 1.75), heading=180.0))
     only_int = prune_frames(
-        decode(frames), road_sdf(spark, road), {"intersection"}, 50.0
+        decode(frames), road_table(spark, road), {"intersection"}, 50.0
     ).count()
     both = prune_frames(
-        decode(frames), road_sdf(spark, road), {"intersection", "bikeLane"}, 50.0
+        decode(frames), road_table(spark, road), {"intersection", "bikeLane"}, 50.0
     ).count()
     assert only_int == 2
     assert both == 0
@@ -105,13 +101,13 @@ def test_prune_frames_requires_all_types(spark, road):
 
 def test_prune_frames_empty_types_is_noop(spark, road):
     frames = decode(spark.createDataFrame(make_frames(4)))
-    assert prune_frames(frames, road_sdf(spark, road), set(), 50.0) is frames
+    assert prune_frames(frames, road_table(spark, road), set(), 50.0) is frames
 
 
 def test_prune_distance_matters(spark, road):
     # Intersection 36 m ahead: visible at d=50, not at d=10.
     frames = spark.createDataFrame(make_frames(1, pos=(30.0, -1.75), heading=0.0))
-    road_s = road_sdf(spark, road)
+    road_s = road_table(spark, road)
     assert prune_frames(decode(frames), road_s, {"intersection"}, 50.0).count() == 1
     assert prune_frames(decode(frames), road_s, {"intersection"}, 10.0).count() == 0
 
@@ -164,7 +160,7 @@ def dataset(name: str, seed: int):
 def test_prune_frames_matches_brute_force(spark, name, seed):
     road, cams = dataset(name, seed)
     frames = decode(spark.createDataFrame(cams))
-    road_s = road_sdf(spark, road)
+    road_s = road_table(spark, road)
     n_kept = []
     for geo_types, distance in CASES:
         want = brute_force_kept(cams, road.df, geo_types, distance)
@@ -178,7 +174,7 @@ def test_prune_frames_matches_brute_force(spark, name, seed):
 def test_prune_frames_partition_invariant(spark):
     road, cams = grid_dataset()
     frames = decode(spark.createDataFrame(cams))
-    road_s = road_sdf(spark, road)
+    road_s = road_table(spark, road)
     for geo_types, distance in CASES:
         base = kept_set(prune_frames(frames, road_s, geo_types, distance))
         for n in (1, 8):
@@ -187,7 +183,7 @@ def test_prune_frames_partition_invariant(spark):
 
 def test_prune_frames_plan_is_narrow(spark, road):
     frames = decode(spark.createDataFrame(make_frames(4, pos=(30.0, -1.75))))
-    kept = prune_frames(frames, road_sdf(spark, road), {"intersection", "lane"}, 50.0)
+    kept = prune_frames(frames, road_table(spark, road), {"intersection", "lane"}, 50.0)
     assert kept.count() == 4
     plan = kept._jdf.queryExecution().executedPlan().toString()
     assert "MapInPandas" in plan
@@ -196,7 +192,7 @@ def test_prune_frames_plan_is_narrow(spark, road):
 
 def test_prune_frames_no_construct_of_type_keeps_nothing(spark, road):
     frames = decode(spark.createDataFrame(make_frames(3, pos=(30.0, -1.75))))
-    no_int = road_sdf(spark, road).filter("type != 'intersection'")
+    no_int = road_table(spark, road).filter("type != 'intersection'")
     assert prune_frames(frames, no_int, {"intersection"}, 50.0).count() == 0
     assert prune_frames(frames, no_int, {"intersection", "lane"}, 50.0).count() == 0
     assert set(visible_construct_types(frames, no_int, {"intersection", "lane"}, 50.0)
@@ -205,7 +201,7 @@ def test_prune_frames_no_construct_of_type_keeps_nothing(spark, road):
 
 def test_prune_frames_empty_frames(spark, road):
     frames = decode(spark.createDataFrame(make_frames(3, pos=(30.0, -1.75)))).limit(0)
-    road_s = road_sdf(spark, road)
+    road_s = road_table(spark, road)
     kept = prune_frames(frames, road_s, {"intersection"}, 50.0)
     assert kept.count() == 0 and kept.columns == frames.columns
     assert visible_construct_types(frames, road_s, {"intersection"}, 50.0).count() == 0
