@@ -26,4 +26,4 @@ def test_ablation_setup(benchmark, spark, ds, setup):
     )
     benchmark.extra_info["modeled_ms"] = result.cost.total_ms
     benchmark.extra_info["modeled_s_per_video"] = result.cost.total_ms / 1000 / SCENES
-    benchmark.extra_info["counts"] = result.counts
+    benchmark.extra_info["counts"] = result.cost.entries

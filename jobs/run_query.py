@@ -32,7 +32,6 @@ def main(argv=None):
     manifest, cost = w.save_videos()
     print_table(f"{args.query} snippet manifest ({args.setup})", manifest)
     print(f"\nplan: {w.plan.operators}")
-    print(f"counts: {w.vp_result.counts}")
     print(f"modeled cost: {cost}")
 
 

@@ -64,7 +64,7 @@ class EvaSession:
         d3 = self._materialized(cost)
         n_dets = d3.count()
         # Per-frame, per-query Python UDF predicate evaluation.
-        n_frames = self._cache.counts["frames_total"]
+        n_frames = self._cache.cost.count("decode")
         cost.add("eva_udf", n_frames, n_frames * C.EVA_UDF_FRAME + n_dets * C.EVA_UDF_OBJ)
         if min_count is not None:
             result = (

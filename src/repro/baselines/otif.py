@@ -33,8 +33,8 @@ def run_otif(
     gt: DataFrame,
     *,
     track_every: int = 2,
-) -> tuple[DataFrame, CostReport, dict]:
-    """OTIF-style tracking over a dataset; returns (tracks, cost, counts)."""
+) -> tuple[DataFrame, CostReport]:
+    """OTIF-style tracking over a dataset; returns (tracks, cost)."""
     vp = execute(
         [
             DECODE,
@@ -48,7 +48,4 @@ def run_otif(
         ],
         cameras,
     )
-    counts = {"frames_total": vp.counts["frames_total"],
-              "frames_detected": vp.counts["frames_with_dets"],
-              "frames_tracked": vp.counts["frames_tracked"]}
-    return vp.objects, vp.cost, counts
+    return vp.objects, vp.cost

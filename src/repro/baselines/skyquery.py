@@ -16,39 +16,31 @@ from dataclasses import replace
 
 from pyspark.sql import DataFrame
 
-from repro.core.pipeline import DECODE, LOC3D_GEOMETRY, detector, execute, road_visibility, tracker
+from repro.core.pipeline import (
+    DECODE, LOC3D_GEOMETRY, detector, execute, frames_in, per, road_visibility, rows_in, tracker,
+)
 from repro.video.costmodel import C, CostReport
 
 __all__ = ["run_skyquery", "run_spatialyze_with_skyquery_models"]
 
 
-def _charge_yolov3(run, frames, dets) -> None:
-    run.counts["detections"] = dets.count()
-    run.charge_per("yolov3", "frames_after_rvp", C.YOLOV3)
-
-
-def _run(cameras: DataFrame, gt: DataFrame, pruners: list) -> tuple[DataFrame, CostReport, dict]:
+def _run(cameras: DataFrame, gt: DataFrame, pruners: list) -> tuple[DataFrame, CostReport]:
     vp = execute(
         [
             DECODE,
             *pruners,
-            replace(detector(gt), charge=_charge_yolov3),
+            replace(detector(gt), charge=per(frames_in, "yolov3", C.YOLOV3)),
             # Homography ground projection: the geometry path (top-down
             # camera rays hit z=0), charged at SkyQuery's per-object cost.
-            replace(
-                LOC3D_GEOMETRY,
-                charge=lambda run, *_: run.charge_per("sky3d", "detections", C.SKYQUERY_3D_OBJ),
-            ),
+            replace(LOC3D_GEOMETRY, charge=per(rows_in, "sky3d", C.SKYQUERY_3D_OBJ)),
             tracker("sort"),
         ],
         cameras,
     )
-    counts = {"frames_total": vp.counts["frames_total"],
-              "frames_processed": vp.counts["frames_after_rvp"]}
-    return vp.objects, vp.cost, counts
+    return vp.objects, vp.cost
 
 
-def run_skyquery(cameras: DataFrame, gt: DataFrame) -> tuple[DataFrame, CostReport, dict]:
+def run_skyquery(cameras: DataFrame, gt: DataFrame) -> tuple[DataFrame, CostReport]:
     """The SkyQuery pipeline: every frame, no pruning."""
     return _run(cameras, gt, [])
 
@@ -60,7 +52,7 @@ def run_spatialyze_with_skyquery_models(
     *,
     geo_types: set[str] = frozenset({"bikeLane"}),
     distance: float = 50.0,
-) -> tuple[DataFrame, CostReport, dict]:
+) -> tuple[DataFrame, CostReport]:
     """Spatialyze's video processor with SkyQuery's ML functions: only
     the Road Visibility Pruner differs (§7.1.5)."""
     return _run(cameras, gt, [road_visibility(road, set(geo_types), distance)])

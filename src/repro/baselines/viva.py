@@ -25,7 +25,9 @@ from dataclasses import replace
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.pipeline import DECODE, LOC3D_DEPTH, execute, proxy_gated_detector, tracker
+from repro.core.pipeline import (
+    DECODE, LOC3D_DEPTH, execute, frames_out, per, proxy_gated_detector, tracker,
+)
 from repro.core.predicates import Predicate
 from repro.core.query_engine import compile_filter, movable_objects
 from repro.video.costmodel import C, CostReport
@@ -56,10 +58,7 @@ def run_viva(
         [
             DECODE,
             proxy_gated_detector(gt, "viva_proxy", C.VIVA_PROXY, C.YOLO * lowres),
-            replace(
-                LOC3D_DEPTH,
-                charge=lambda run, *_: run.charge_per("depth", "frames_with_dets", depth_ms),
-            ),
+            replace(LOC3D_DEPTH, charge=per(frames_out, "depth", depth_ms)),
             tracker("deepsort"),
         ],
         cameras,

@@ -1,13 +1,15 @@
 """Video Processor execution (§5.2.2): one executor for every operator plan.
 
 A plan is an ordered list of :class:`Operator`s, run by :func:`execute`.
-Each operator applies one DataFrame→DataFrame step, then charges the
-calibrated cost model with the row counts it takes — pruning
-effectiveness is observed, never assumed. Spatialyze's plans (Listing 2
-+ §6 placements, :func:`run_video_processor`) and the comparison
-systems' plans in ``repro.baselines`` differ only in which operators
-they list and what each charges. The paper's O(1)-frames streaming
-property maps to Spark's pipelined execution within a stage.
+Each operator applies one DataFrame→DataFrame step; the executor
+persists the step's output and counts its rows per frame once, and the
+operator's charge prices those counts (and its input's) with the
+calibrated cost model — pruning effectiveness is observed, never
+assumed. Spatialyze's plans (Listing 2 + §6 placements,
+:func:`run_video_processor`) and the comparison systems' plans in
+``repro.baselines`` differ only in which operators they list and what
+each charges. The paper's O(1)-frames streaming property maps to
+Spark's pipelined execution within a stage.
 
 Operators call the layer functions (``decode``, ``detect``, ...) through
 this module's globals when they run, so a wrapper installed here sees
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -34,7 +37,8 @@ from repro.video.tracker import track_objects
 
 __all__ = [
     "DECODE", "LOC3D_DEPTH", "LOC3D_GEOMETRY", "Operator", "VPResult", "detector", "execute",
-    "proxy_gated_detector", "road_visibility", "run_video_processor", "tracker",
+    "frame_counts", "frames_in", "frames_out", "per", "proxy_gated_detector", "road_visibility",
+    "rows_in", "run_video_processor", "tracker",
 ]
 
 FRAME_KEY = ["video_id", "frame_idx"]
@@ -42,106 +46,112 @@ FRAME_KEY = ["video_id", "frame_idx"]
 
 @dataclass
 class VPResult:
-    """Tracked, 3D-located detections + modeled cost + stage counts.
+    """Tracked, 3D-located detections + modeled cost.
 
-    ``outputs`` maps each operator's name to its output DataFrame.
+    ``outputs`` maps each operator's name to its persisted output
+    DataFrame.
     """
 
     objects: DataFrame
     cost: CostReport
-    counts: dict[str, float] = field(default_factory=dict)
     outputs: dict[str, DataFrame] = field(default_factory=dict)
 
-    def charge_per(self, op: str, key: str, ms: float) -> None:
-        """Charge ``ms`` to ``op`` per unit of the count ``counts[key]``."""
-        n = self.counts[key]
-        self.cost.add(op, n, n * ms)
+
+# charge(cost, n_in, n_out, out): n_in and n_out are the frame_counts of
+# the operator's input (None for the first operator) and output.
+Charge = Callable[[CostReport, np.ndarray | None, np.ndarray, DataFrame], None]
 
 
 @dataclass(frozen=True)
 class Operator:
     """One plan step. ``apply(run, df)`` maps the previous step's output
-    to this step's; ``charge(run, df, out)`` then adds the step's modeled
-    cost to ``run.cost`` and its counts to ``run.counts``."""
+    to this step's; ``charge`` then adds the step's modeled cost to the
+    run's ``CostReport`` from the per-frame row counts the executor took."""
 
     name: str
     apply: Callable[[VPResult, DataFrame], DataFrame]
-    charge: Callable[[VPResult, DataFrame, DataFrame], None]
+    charge: Charge
+
+
+def frame_counts(df: DataFrame) -> np.ndarray:
+    """Rows of ``df`` per (video_id, frame_idx), one entry per frame that
+    has any rows: one ``groupBy().count()``, collected."""
+    rows = df.groupBy(*FRAME_KEY).count().select("count").collect()
+    return np.array([r[0] for r in rows], dtype=np.int64)
 
 
 def execute(operators: list[Operator], source: DataFrame) -> VPResult:
     """Run ``operators`` in order over ``source``; ``objects`` is the last
-    operator's output."""
+    operator's output. The only place a plan step is materialized and
+    counted: each output is persisted and counted per frame once, and
+    the next operator's charge reads that count as its input."""
     run = VPResult(source, CostReport())
+    n_in = None
     for op in operators:
-        out = op.apply(run, run.objects)
-        op.charge(run, run.objects, out)
+        out = op.apply(run, run.objects).persist()
+        n_out = frame_counts(out)
+        op.charge(run.cost, n_in, n_out, out)
         run.objects = run.outputs[op.name] = out
+        n_in = n_out
     return run
 
 
-def _count_frames(df: DataFrame) -> int:
-    return df.select(*FRAME_KEY).distinct().count()
+# The units a charge counts, from its operator's input and output counts.
+def frames_in(n_in: np.ndarray, n_out: np.ndarray) -> int:
+    return len(n_in)
 
 
-def _charge_decode(run, cameras, frames) -> None:
-    run.counts["frames_total"] = run.counts["frames_after_rvp"] = frames.count()
-    run.charge_per("decode", "frames_total", C.DECODE)
+def rows_in(n_in: np.ndarray, n_out: np.ndarray) -> int:
+    return int(n_in.sum())
 
 
-def _charge_rvp(run, frames, kept) -> None:
-    run.counts["frames_after_rvp"] = kept.count()
-    run.charge_per("rvp", "frames_total", C.RVP_FRAME)
+def frames_out(n_in: np.ndarray, n_out: np.ndarray) -> int:
+    return len(n_out)
 
 
-def _charge_detect(run, frames, dets) -> None:
-    run.counts["detections"] = run.counts["detections_after_otp"] = dets.count()
-    run.charge_per("yolo", "frames_after_rvp", C.YOLO)
+def per(unit: Callable[[np.ndarray, np.ndarray], int], op: str, ms: float) -> Charge:
+    """Charge ``ms`` to ``op`` once per ``unit`` of the operator's counts
+    (``frames_in``, ``rows_in`` or ``frames_out``)."""
+
+    def charge(cost: CostReport, n_in, n_out, out) -> None:
+        n = unit(n_in, n_out)
+        cost.add(op, n, n * ms)
+
+    return charge
 
 
-def _charge_otp(run, dets, kept) -> None:
-    run.counts["detections_after_otp"] = kept.count()
-    run.charge_per("otp", "detections", C.OTP_OBJ)
+def _charge_geometry(cost: CostReport, n_in, n_out, dets3: DataFrame) -> None:
+    per(rows_in, "geom3d", C.GEOM3D_OBJ)(cost, n_in, n_out, dets3)
+    # The depth network runs on every frame with a fallback detection.
+    fallback = len(frame_counts(dets3.filter(F.col("est_src") == "depth_fallback")))
+    if fallback:
+        cost.add("depth", fallback, fallback * C.DEPTH)
 
 
-def _charge_geometry(run, dets, dets3) -> None:
-    run.charge_per("geom3d", "detections_after_otp", C.GEOM3D_OBJ)
-    fallback = dets3.filter(F.col("est_src") == "depth_fallback")
-    run.counts["depth_fallback_frames"] = _count_frames(fallback)
-    if run.counts["depth_fallback_frames"]:
-        run.charge_per("depth", "depth_fallback_frames", C.DEPTH)
-
-
-def _charge_depth(run, dets, dets3) -> None:
-    run.counts["frames_with_dets"] = _count_frames(dets3)
-    run.charge_per("depth", "frames_with_dets", C.DEPTH)
-
-
-def _charge_efs(run, dets3, sampled) -> None:
-    run.counts["frames_into_efs"] = _count_frames(dets3)
-    run.charge_per("efs", "frames_into_efs", C.EFS_FRAME)
-
-
-DECODE = Operator("decode", lambda run, cameras: decode(cameras), _charge_decode)
+DECODE = Operator(
+    "decode", lambda run, cameras: decode(cameras), per(frames_out, "decode", C.DECODE)
+)
 LOC3D_GEOMETRY = Operator(
-    "loc3d_geometry", lambda run, dets: estimate_3d_geometry(dets).persist(), _charge_geometry
+    "loc3d_geometry", lambda run, dets: estimate_3d_geometry(dets), _charge_geometry
 )
 LOC3D_DEPTH = Operator(
-    "loc3d_depth", lambda run, dets: estimate_3d_depth(dets).persist(), _charge_depth
+    "loc3d_depth", lambda run, dets: estimate_3d_depth(dets), per(frames_out, "depth", C.DEPTH)
 )
 
 
 def road_visibility(road: DataFrame, types, distance: float) -> Operator:
     """§6.1 RVP after the decoder: keeps frames where every type is visible."""
     return Operator(
-        "rvp", lambda run, f: prune_frames(f, road, types, distance).persist(), _charge_rvp
+        "rvp",
+        lambda run, f: prune_frames(f, road, types, distance),
+        per(frames_in, "rvp", C.RVP_FRAME),
     )
 
 
 def detector(gt: DataFrame, seed: int = 0) -> Operator:
     """The object detector, charged per frame it is given."""
     return Operator(
-        "detect", lambda run, frames: detect(frames, gt, seed=seed).persist(), _charge_detect
+        "detect", lambda run, frames: detect(frames, gt, seed=seed), per(frames_in, "yolo", C.YOLO)
     )
 
 
@@ -150,11 +160,11 @@ def proxy_gated_detector(gt: DataFrame, proxy: str, proxy_ms: float, ms: float) 
     charged ``proxy_ms`` as ``proxy``, sees every frame it is given; the
     detector, charged ``ms``, runs only on the frames the proxy flags —
     the frames with objects."""
+    charge_proxy, charge_yolo = per(frames_in, proxy, proxy_ms), per(frames_out, "yolo", ms)
 
-    def charge(run, frames, dets) -> None:
-        run.counts["frames_with_dets"] = _count_frames(dets)
-        run.charge_per(proxy, "frames_after_rvp", proxy_ms)
-        run.charge_per("yolo", "frames_with_dets", ms)
+    def charge(*counts) -> None:
+        charge_proxy(*counts)
+        charge_yolo(*counts)
 
     return replace(detector(gt), charge=charge)
 
@@ -163,19 +173,11 @@ def tracker(variant: str) -> Operator:
     """The object tracker, charged by ``costmodel.tracker_cost`` over the
     per-frame detection counts of its output."""
 
-    def charge(run, dets, tracked) -> None:
-        agg = tracked.groupBy(*FRAME_KEY).count().agg(
-            F.count("*").alias("nf"),
-            F.sum("count").alias("sn"),
-            F.sum(F.pow("count", 3)).alias("sn3"),
-        ).first()
-        nf, sn, sn3 = (agg["nf"] or 0, float(agg["sn"] or 0), float(agg["sn3"] or 0))
-        run.counts["frames_tracked"] = nf
-        run.counts["dets_tracked"] = sn
-        run.cost.add("track", nf, tracker_cost(nf, sn, sn3, variant))
+    def charge(cost: CostReport, n_in, n: np.ndarray, tracked) -> None:
+        cost.add("track", len(n), tracker_cost(len(n), int(n.sum()), int((n**3).sum()), variant))
 
     return Operator(
-        f"track_{variant}", lambda run, dets: track_objects(dets, variant=variant).persist(), charge
+        f"track_{variant}", lambda run, dets: track_objects(dets, variant=variant), charge
     )
 
 
@@ -201,16 +203,17 @@ def run_video_processor(
         frames = run.outputs.get("rvp", run.outputs["decode"])
         hulls = frame_view_hulls(frames, plan.rvp_distance)
         sampled = sample_frames(dets3, hulls, lanes, fps=fps, max_skip=efs_max_skip)
-        return dets3.join(sampled, on=FRAME_KEY, how="leftsemi").persist()
+        return dets3.join(sampled, on=FRAME_KEY, how="leftsemi")
 
     catalog = (
         DECODE,
         road_visibility(road, plan.rvp_types, plan.rvp_distance),
         detector(gt, seed),
-        Operator("otp", lambda run, dets: prune_types(dets, plan.otp_types).persist(), _charge_otp),
+        Operator("otp", lambda run, dets: prune_types(dets, plan.otp_types),
+                 per(rows_in, "otp", C.OTP_OBJ)),
         LOC3D_GEOMETRY,
         LOC3D_DEPTH,
-        Operator("efs", sample_exit_frames, _charge_efs),
+        Operator("efs", sample_exit_frames, per(frames_in, "efs", C.EFS_FRAME)),
         tracker(plan.tracker_variant),
     )
     by_name = {op.name: op for op in catalog}

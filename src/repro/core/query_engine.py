@@ -28,6 +28,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
+from repro.core.pipeline import frame_counts
 from repro.core.predicates import (
     And,
     CameraRef,
@@ -173,13 +174,11 @@ def combination_count(objects: DataFrame, pred: Predicate) -> int:
     objects in frame f, it is sum_f n_f*(n_f-1)*...*(n_f-k+1); k=1
     degenerates to the row count. This is why §7.1.1's Q8 (two
     self-joins) costs Spatialyze as much as EVA's simple count."""
-    k = len(object_refs(pred))
-    per = objects.groupBy("video_id", "frame_idx").count()
-    expr = F.lit(1.0)
-    for i in range(k):
-        expr = expr * F.greatest(F.col("count") - i, F.lit(0))
-    total = per.agg(F.sum(expr)).first()[0]
-    return int(total or 0)
+    n = frame_counts(objects)
+    tuples = np.ones_like(n)
+    for i in range(len(object_refs(pred))):
+        tuples *= np.maximum(n - i, 0)
+    return int(tuples.sum())
 
 
 def _alias_of(e: Entity) -> str:

@@ -32,8 +32,7 @@ from pyspark.sql import functions as F
 from repro.geo.camera import intrinsic_matrix, view_hull_points
 from repro.geo.polygon import as_poly_array, convex_hull, convex_intersects, points_in_polygon
 
-__all__ = ["ConstructIndex", "construct_index", "containing", "frame_view_hulls",
-           "visible_construct_types", "prune_frames"]
+__all__ = ["ConstructIndex", "construct_index", "containing", "frame_view_hulls", "prune_frames"]
 
 HULL_SCHEMA = ("video_id string, frame_idx long, hull array<array<double>>, "
                "hxmin double, hymin double, hxmax double, hymax double")
@@ -132,25 +131,6 @@ def visible_pandas(pdf: pd.DataFrame, index: ConstructIndex, distance: float) ->
         if not vis[i, tix[j]]:
             vis[i, tix[j]] = convex_intersects(hulls[i], index.polys[j])
     return vis
-
-
-def visible_construct_types(
-    frames: DataFrame, road: DataFrame, geo_types: set[str], distance: float
-) -> DataFrame:
-    """(video_id, frame_idx, type) rows for every construct type of
-    interest visible in the frame's viewable area."""
-    index = construct_index(road, geo_types)
-    types = np.array(index.types, dtype=object)
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf):
-                i, t = np.nonzero(visible_pandas(pdf, index, distance))
-                yield pd.DataFrame({"video_id": pdf["video_id"].to_numpy()[i],
-                                    "frame_idx": pdf["frame_idx"].to_numpy(np.int64)[i],
-                                    "type": types[t]})
-
-    return frames.mapInPandas(run, schema="video_id string, frame_idx long, type string")
 
 
 def prune_frames(

@@ -18,6 +18,7 @@ Output Composer).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -64,7 +65,7 @@ class World:
         self._videos: list[GeospatialVideo] = []
         self._preds: list[Predicate] = []
         self._vp: VPResult | None = None
-        self._plan: Plan | None = None
+        self._persisted: list[DataFrame] = []
 
     # ------------------------------------------------------------ build
     def add_geog_constructs(self, road: RoadNetwork) -> "World":
@@ -110,11 +111,10 @@ class World:
         return sdf(cams), sdf(gt), road_table(self.spark, self._road)
 
     def execute(self) -> tuple[DataFrame, CostReport]:
-        """Run all four stages; returns (query result, total cost)."""
+        """Run all four stages; returns (query result, total cost). The
+        executor's outputs and the Movable Objects table it persists are
+        listed in ``_persisted`` for the observer to release."""
         pred = self.predicate
-        self._plan = plan_workflow(
-            pred, optimizations=self.optimizations, tracker_variant=self.tracker_variant
-        )
         cams, gt, road = self._tables()
         cost = CostReport()
         # ① Data Integrator: road tables + frame-by-frame video x camera join.
@@ -123,41 +123,48 @@ class World:
         cost.add("integrate", n_constructs + n_frames,
                  n_constructs * C.INTEGRATE_CONSTRUCT + n_frames * C.INTEGRATE_FRAME)
         # ② Video Processor.
-        vp = run_video_processor(cams, gt, road, self._plan, fps=self.fps, seed=self.seed)
+        vp = run_video_processor(cams, gt, road, self.plan, fps=self.fps, seed=self.seed)
         self._vp = vp
         cost.merge(vp.cost)
         # ③ Movable Objects Query Engine.
         objects = movable_objects(vp.objects, fps=self.fps).persist()
+        self._persisted = [*vp.outputs.values(), objects]
         # The engine's work scales with the self-join combinations it
         # evaluates (k object refs → k-way temporal-index self-join).
         n_comb = combination_count(objects, pred)
         cost.add("query_engine", n_comb, n_comb * C.QUERY_ROW)
         return compile_filter(objects, cams, road, pred), cost
 
+    def _observe(
+        self, compose: Callable[[DataFrame], DataFrame]
+    ) -> tuple[pd.DataFrame, CostReport]:
+        """Execute, collect ``compose(result)``, then release what execute()
+        persisted."""
+        result, cost = self.execute()
+        try:
+            return compose(result).toPandas(), cost
+        finally:
+            for df in self._persisted:
+                df.unpersist()
+
     # ------------------------------------------------------------ observe
     def get_objects(self) -> tuple[pd.DataFrame, CostReport]:
-        result, cost = self.execute()
-        objs = get_objects(result, self.predicate)
-        out = objs.toPandas()
+        out, cost = self._observe(lambda result: get_objects(result, self.predicate))
         cost.add("compose", len(out), len(out) * C.COMPOSE_FRAME)
         return out, cost
 
     def save_videos(self, path: str | None = None) -> tuple[pd.DataFrame, CostReport]:
-        result, cost = self.execute()
-        manifest = save_videos(result, path).toPandas()
+        manifest, cost = self._observe(lambda result: save_videos(result, path))
         n_frames_out = int(manifest["n_frames"].sum()) if len(manifest) else 0
         cost.add("compose", n_frames_out, n_frames_out * C.COMPOSE_FRAME)
         return manifest, cost
 
     @property
     def plan(self) -> Plan:
-        if self._plan is None:
-            self._plan = plan_workflow(
-                self.predicate,
-                optimizations=self.optimizations,
-                tracker_variant=self.tracker_variant,
-            )
-        return self._plan
+        """The plan for the conjunction of every filter so far."""
+        return plan_workflow(
+            self.predicate, optimizations=self.optimizations, tracker_variant=self.tracker_variant
+        )
 
     @property
     def vp_result(self) -> VPResult:

@@ -47,7 +47,6 @@ class SetupRun:
     setup: str
     qname: str
     cost: CostReport
-    counts: dict[str, float]
     tracked: pd.DataFrame  # TRACK_COLS rows (empty if no tracker in plan)
     rvp_frames: pd.DataFrame | None  # frames kept by RVP, if RVP ran
 
@@ -80,7 +79,7 @@ def run_setup(
     rvp_frames = (
         vp.outputs["rvp"].select("video_id", "frame_idx").toPandas() if plan.use_rvp else None
     )
-    return SetupRun(setup, qname, vp.cost, vp.counts, tracked, rvp_frames)
+    return SetupRun(setup, qname, vp.cost, tracked, rvp_frames)
 
 
 def ablation_runtime_table(runs: dict[tuple[str, str], SetupRun], n_videos: int) -> pd.DataFrame:

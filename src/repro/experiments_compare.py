@@ -143,12 +143,12 @@ def devkit_comparison(
 def otif_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     """T5: object-tracking FPS, OTIF vs Spatialyze-with-all-opts (Q1-Q4)."""
     cams, gt = ds.cameras_sdf(spark), ds.gt_sdf(spark)
-    _, otif_cost, otif_counts = run_otif(cams, gt)
+    _, otif_cost = run_otif(cams, gt)
     rows = [
         {
             "system": "OTIF",
             "query": "-",
-            "fps": fps_of(otif_cost, int(otif_counts["frames_total"])),
+            "fps": fps_of(otif_cost, int(otif_cost.count("decode"))),
         }
     ]
     for q in ("Q1", "Q2", "Q3", "Q4"):
@@ -157,7 +157,7 @@ def otif_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
             {
                 "system": "Spatialyze",
                 "query": q,
-                "fps": fps_of(r.cost, int(r.counts["frames_total"])),
+                "fps": fps_of(r.cost, int(r.cost.count("decode"))),
             }
         )
     return pd.DataFrame(rows)
@@ -166,14 +166,13 @@ def otif_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
 def skyquery_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     """T6: Q10 FPS on the aerial dataset, same ML sims on both sides."""
     cams, gt, road = ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark)
-    _, sq_cost, sq_counts = run_skyquery(cams, gt)
-    _, sp_cost, sp_counts = run_spatialyze_with_skyquery_models(cams, gt, road)
+    _, sq_cost = run_skyquery(cams, gt)
+    _, sp_cost = run_spatialyze_with_skyquery_models(cams, gt, road)
     return pd.DataFrame(
         [
-            {"system": "SkyQuery", "fps": fps_of(sq_cost, int(sq_counts["frames_total"])),
-             "frames_processed": sq_counts["frames_processed"]},
-            {"system": "Spatialyze", "fps": fps_of(sp_cost, int(sp_counts["frames_total"])),
-             "frames_processed": sp_counts["frames_processed"]},
+            {"system": system, "fps": fps_of(cost, int(cost.count("decode"))),
+             "frames_processed": int(cost.count("yolov3"))}
+            for system, cost in (("SkyQuery", sq_cost), ("Spatialyze", sp_cost))
         ]
     )
 

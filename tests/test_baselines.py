@@ -167,10 +167,10 @@ def test_devkit_handles_lane_heading_predicates(devkit_tables):
 
 def test_otif_reduced_rate_and_gating(tiny_sdfs, tiny_ds):
     cams, gt, _ = tiny_sdfs
-    tracked, cost, counts = run_otif(cams, gt, track_every=2)
-    assert counts["frames_total"] == tiny_ds.n_frames
-    assert counts["frames_detected"] <= tiny_ds.n_frames
-    assert counts["frames_tracked"] <= counts["frames_total"] / 2 + 1
+    tracked, cost = run_otif(cams, gt, track_every=2)
+    assert cost.count("decode") == tiny_ds.n_frames
+    assert cost.count("yolo") <= tiny_ds.n_frames
+    assert cost.count("track") <= cost.count("decode") / 2 + 1
     assert cost.ms("otif_proxy") > 0
     assert OTIF_TRAINING_MS > 3_600_000  # reported separately
     assert tracked.count() > 0
@@ -193,15 +193,15 @@ def sky(spark):
 
 def test_skyquery_processes_all_frames(sky):
     ds, (cams, gt, road) = sky
-    _, cost, counts = run_skyquery(cams, gt)
-    assert counts["frames_processed"] == counts["frames_total"] == 420
+    _, cost = run_skyquery(cams, gt)
+    assert cost.count("yolov3") == cost.count("decode") == 420
     assert cost.ms("yolov3") > 0
 
 
 def test_spatialyze_prunes_aerial_frames(sky):
     ds, (cams, gt, road) = sky
-    _, cost_sq, counts_sq = run_skyquery(cams, gt)
-    _, cost_sp, counts_sp = run_spatialyze_with_skyquery_models(cams, gt, road)
+    _, cost_sq = run_skyquery(cams, gt)
+    _, cost_sp = run_spatialyze_with_skyquery_models(cams, gt, road)
     # The drone's block-interior leg has no bike lane in view: pruned.
-    assert counts_sp["frames_processed"] < counts_sp["frames_total"]
+    assert cost_sp.count("yolov3") < cost_sp.count("decode")
     assert cost_sp.total_ms < cost_sq.total_ms  # the §7.1.5 18 % speedup

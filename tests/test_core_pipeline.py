@@ -1,7 +1,8 @@
 """Tests for the video processor's executor: every operator calls its layer
 function through ``repro.core.pipeline``'s globals (the contract the
-per-layer tracer depends on), and every plan that tracks charges the
-tracker by the per-frame counts of its output."""
+per-layer tracer depends on), every charge counts its own operator's
+input or output, every plan that tracks charges the tracker by the
+per-frame counts of its output, and a workflow releases what it cached."""
 from collections import Counter
 
 import pytest
@@ -40,9 +41,12 @@ def ds():
 @pytest.fixture(scope="module")
 def q2_worlds(spark, ds):
     """Q2 under SB and S6 through ``World.save_videos()``, with each layer
-    name in ``repro.core.pipeline`` replaced by a call-recording wrapper."""
+    name in ``repro.core.pipeline`` replaced by a call-recording wrapper,
+    and the persisted RDDs counted before (from a cleared cache) and after
+    each workflow."""
     calls: dict[str, list[tuple[str, object]]] = {}
-    worlds = {}
+    worlds, cached = {}, {}
+    persistent = spark.sparkContext._jsc.sc().getPersistentRDDs
 
     def recording(name, fn):
         def wrapped(*args, **kw):
@@ -58,18 +62,59 @@ def q2_worlds(spark, ds):
             calls[current] = []
             w = World.from_dataset(spark, ds, optimizations=SETUPS[current])
             w.filter(query("Q2"))
+            # Spark keys its cache by plan: a table an earlier test cached
+            # would be shared with (and released by) this workflow.
+            spark.catalog.clearCache()
+            before = persistent().size()
             w.save_videos()
+            cached[current] = (before, persistent().size())
             worlds[current] = w
-    return worlds, calls
+    return worlds, calls, cached
 
 
 @pytest.mark.parametrize("setup", ["SB", "S6"])
 def test_every_operator_calls_its_patched_layer(q2_worlds, setup):
-    worlds, calls = q2_worlds
+    worlds, calls, _ = q2_worlds
     ops = worlds[setup].plan.operators
     assert Counter(name for name, _ in calls[setup]) == Counter(_layer(op) for op in ops)
     # The tracer counts each layer's input from the first positional argument.
     assert all(isinstance(first, DataFrame) for _, first in calls[setup])
+
+
+@pytest.mark.parametrize("setup", ["SB", "S6"])
+def test_save_videos_releases_what_it_persisted(q2_worlds, setup):
+    _, _, cached = q2_worlds
+    before, after = cached[setup]
+    assert after == before
+
+
+def _frames(pdf) -> int:
+    return len(pdf[["video_id", "frame_idx"]].drop_duplicates())
+
+
+@pytest.mark.parametrize("setup", ["SB", "S6"])
+def test_every_charge_counts_its_operator(q2_worlds, setup):
+    """Each cost count equals a pandas count of the charged operator's
+    input or output, read back from ``vp.outputs``."""
+    worlds, _, _ = q2_worlds
+    vp = worlds[setup].vp_result
+    out = {name: df.toPandas() for name, df in vp.outputs.items()}
+    want = {"decode": _frames(out["decode"]), "track": _frames(out["track_strongsort"])}
+    if setup == "SB":
+        want |= {"yolo": _frames(out["decode"]), "depth": _frames(out["loc3d_depth"])}
+    else:
+        located = out["loc3d_geometry"]
+        want |= {
+            "rvp": _frames(out["decode"]),
+            "yolo": _frames(out["rvp"]),
+            "otp": len(out["detect"]),
+            "geom3d": len(out["otp"]),
+            "depth": _frames(located[located["est_src"] == "depth_fallback"]),
+            "efs": _frames(located),
+        }
+    assert want["yolo"] > 0 and want["track"] > 0
+    assert set(vp.cost.entries) <= set(want)
+    assert {op: vp.cost.count(op) for op in want} == want
 
 
 def _assert_tracker_charge(tracked: DataFrame, cost, variant: str) -> None:
@@ -82,13 +127,13 @@ def _assert_tracker_charge(tracked: DataFrame, cost, variant: str) -> None:
 
 @pytest.mark.parametrize("setup", ["SB", "S6"])
 def test_spatialyze_tracker_charge(q2_worlds, setup):
-    worlds, _ = q2_worlds
+    worlds, _, _ = q2_worlds
     vp = worlds[setup].vp_result
     _assert_tracker_charge(vp.objects, vp.cost, worlds[setup].plan.tracker_variant)
 
 
 def test_otif_tracker_charge(spark, ds):
-    tracked, cost, _ = run_otif(ds.cameras_sdf(spark), ds.gt_sdf(spark))
+    tracked, cost = run_otif(ds.cameras_sdf(spark), ds.gt_sdf(spark))
     _assert_tracker_charge(tracked, cost, "strongsort")
 
 
@@ -100,10 +145,10 @@ def sky(spark):
 
 def test_skyquery_tracker_charge(sky):
     cams, gt, _ = sky
-    tracked, cost, _ = run_skyquery(cams, gt)
+    tracked, cost = run_skyquery(cams, gt)
     _assert_tracker_charge(tracked, cost, "sort")
 
 
 def test_spatialyze_with_skyquery_models_tracker_charge(sky):
-    tracked, cost, _ = run_spatialyze_with_skyquery_models(*sky)
+    tracked, cost = run_spatialyze_with_skyquery_models(*sky)
     _assert_tracker_charge(tracked, cost, "sort")

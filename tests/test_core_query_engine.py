@@ -7,13 +7,15 @@ runs the general point-in-polygon path — if they agree, the spatial join
 machinery is right. Non-rectangular constructs are checked against
 ``points_in_polygon`` directly.
 """
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import predicates as P
 from repro.core.queries import query
-from repro.core.query_engine import compile_filter, movable_objects
+from repro.core.query_engine import combination_count, compile_filter, movable_objects
 from repro.geo.polygon import points_in_polygon, polygon_bbox
 from repro.oracle import assert_equivalent
 from repro.world.datasets import road_table
@@ -460,3 +462,17 @@ def test_movable_objects_drops_unassigned(spark):
     rows = [("v0", 0, -1, "car", 0.0, 0.0), ("v0", 0, 2, "car", 1.0, 1.0)]
     out = movable_objects(spark.createDataFrame(_tracked(rows)), fps=FPS).toPandas()
     assert len(out) == 1 and out.iloc[0]["oid"] == 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_combination_count_is_falling_factorial(spark, k):
+    per_frame = {("v0", 0): 1, ("v0", 1): 2, ("v0", 2): 3, ("v1", 0): 5, ("v1", 7): 4}
+    pdf = pd.DataFrame(
+        [{"video_id": v, "frame_idx": f, "oid": i}
+         for (v, f), n in per_frame.items() for i in range(n)]
+    )
+    pred = P.And(tuple(P.type_in(P.obj(i), "car") for i in range(k)))
+    want = sum(math.perm(n, k) for n in pdf.groupby(["video_id", "frame_idx"]).size())
+    assert combination_count(spark.createDataFrame(pdf), pred) == want > 0
+    empty = spark.createDataFrame(pdf.iloc[:0], schema="video_id string, frame_idx long, oid long")
+    assert combination_count(empty, pred) == 0

@@ -4,10 +4,11 @@ import pandas as pd
 import pytest
 
 from repro.core.road_visibility import (
+    construct_index,
     frame_view_hulls,
     hulls_pandas,
     prune_frames,
-    visible_construct_types,
+    visible_pandas,
 )
 from repro.geo.polygon import convex_intersects, point_in_polygon
 from repro.video.decoder import decode
@@ -51,36 +52,38 @@ def test_frame_view_hulls_spark(spark):
     assert set(hulls.columns) == {"video_id", "frame_idx", "hull", "hxmin", "hymin", "hxmax", "hymax"}
 
 
+def visible_types(spark, road, frames: pd.DataFrame, geo_types, distance: float) -> list[set]:
+    """The construct types visible from each frame, by the RVP kernel."""
+    index = construct_index(road_table(spark, road), geo_types)
+    vis = visible_pandas(frames, index, distance)
+    return [{t for t, v in zip(index.types, row) if v} for row in vis]
+
+
 def test_visible_types_camera_facing_intersection(spark, road):
     # From (30, -1.75) heading east, the intersection at (70, 0) is ~36 m
     # ahead: visible. Lanes are visible too.
-    frames = spark.createDataFrame(make_frames(2, pos=(30.0, -1.75), heading=0.0))
-    vis = visible_construct_types(
-        decode(frames), road_table(spark, road), {"intersection", "lane"}, 50.0
-    ).toPandas()
-    types = set(vis["type"])
-    assert types == {"intersection", "lane"}
-    assert vis.groupby("frame_idx")["type"].nunique().min() == 2
+    frames = make_frames(2, pos=(30.0, -1.75), heading=0.0)
+    vis = visible_types(spark, road, frames, {"intersection", "lane"}, 50.0)
+    assert vis == [{"intersection", "lane"}] * 2
 
 
 def test_no_intersection_when_looking_away(spark, road):
     # From block middle heading north (perpendicular to the road), only
     # the narrow cone ahead is visible: no intersection within 50 m.
-    frames = spark.createDataFrame(make_frames(1, pos=(35.0, -1.75), heading=90.0))
-    vis = visible_construct_types(
-        decode(frames), road_table(spark, road), {"intersection"}, 50.0
-    ).toPandas()
-    assert len(vis) == 0
+    frames = make_frames(1, pos=(35.0, -1.75), heading=90.0)
+    assert visible_types(spark, road, frames, {"intersection"}, 50.0) == [set()]
 
 
 def test_prune_frames_keeps_and_drops(spark, road):
     # Two cameras: one seeing an intersection, one not.
     f_yes = make_frames(3, pos=(30.0, -1.75), heading=0.0, video_id="yes")
     f_no = make_frames(3, pos=(35.0, -1.75), heading=90.0, video_id="no")
-    frames = spark.createDataFrame(pd.concat([f_yes, f_no], ignore_index=True))
-    kept = prune_frames(decode(frames), road_table(spark, road), {"intersection"}, 50.0).toPandas()
-    assert set(kept["video_id"]) == {"yes"}
-    assert len(kept) == 3
+    frames = decode(spark.createDataFrame(pd.concat([f_yes, f_no], ignore_index=True)))
+    assert frames.select("video_id").distinct().count() == 2
+    kept = prune_frames(frames, road_table(spark, road), {"intersection"}, 50.0)
+    assert kept_set(kept) == {("yes", 0), ("yes", 1), ("yes", 2)}
+    plan = kept._jdf.queryExecution().executedPlan().toString()
+    assert "CartesianProduct" not in plan and "Exchange" not in plan
 
 
 def test_prune_frames_requires_all_types(spark, road):
@@ -195,8 +198,10 @@ def test_prune_frames_no_construct_of_type_keeps_nothing(spark, road):
     no_int = road_table(spark, road).filter("type != 'intersection'")
     assert prune_frames(frames, no_int, {"intersection"}, 50.0).count() == 0
     assert prune_frames(frames, no_int, {"intersection", "lane"}, 50.0).count() == 0
-    assert set(visible_construct_types(frames, no_int, {"intersection", "lane"}, 50.0)
-               .toPandas()["type"]) == {"lane"}
+    index = construct_index(no_int, {"intersection", "lane"})
+    vis = visible_pandas(make_frames(3, pos=(30.0, -1.75)), index, 50.0)
+    assert index.types == ["intersection", "lane"]
+    assert not vis[:, 0].any() and vis[:, 1].all()
 
 
 def test_prune_frames_empty_frames(spark, road):
@@ -204,4 +209,5 @@ def test_prune_frames_empty_frames(spark, road):
     road_s = road_table(spark, road)
     kept = prune_frames(frames, road_s, {"intersection"}, 50.0)
     assert kept.count() == 0 and kept.columns == frames.columns
-    assert visible_construct_types(frames, road_s, {"intersection"}, 50.0).count() == 0
+    index = construct_index(road_s, {"intersection"})
+    assert visible_pandas(make_frames(3).iloc[:0], index, 50.0).shape == (0, 1)

@@ -42,13 +42,13 @@ def q2_runs(spark, ds):
 
 def test_run_setup_counts_and_cost(q2_runs):
     sb = q2_runs[("Q2", "SB")]
-    assert sb.counts["frames_total"] == 144
+    assert sb.cost.count("decode") == 144
     assert sb.cost.ms("depth") > 0  # baseline uses the depth network
     assert sb.cost.ms("rvp") == 0
     s6 = q2_runs[("Q2", "S6")]
     assert s6.cost.ms("rvp") > 0
     assert s6.cost.ms("geom3d") > 0
-    assert s6.counts["frames_after_rvp"] <= s6.counts["frames_total"]
+    assert s6.cost.count("yolo") <= s6.cost.count("decode")
 
 
 def test_optimized_cheaper_than_baseline(q2_runs):

@@ -9,6 +9,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.predicates import camera, obj, same_direction
 from repro.core.queries import query
 from repro.core.sflow import GeospatialVideo, World
 from repro.world.roadnetwork import grid_road_network
@@ -185,12 +186,18 @@ def test_save_videos_manifest_contiguous(spark, road):
 
 
 def test_cost_report_structure(spark, road):
-    objs = [dict(oid=1, otype="car", y=-1.75, x=0, fx=lambda f: 45.0 + 0.5 * f, heading=0.0)]
+    objs = [
+        dict(oid=1, otype="car", y=-1.75, x=0, fx=lambda f: 45.0 + 0.5 * f, heading=0.0),
+        # Floating above the horizon: its ground ray misses, so G3D falls back.
+        dict(oid=2, otype="car", x=55.0, y=1.75, z=6.0),
+    ]
     _, cost, w = run(spark, road, objs, query("Q6"))
     for op in ("integrate", "decode", "rvp", "yolo", "otp", "geom3d", "query_engine"):
         assert op in cost.entries, op
     # Under G3D, depth is charged for exactly the fallback frames.
-    assert cost.count("depth") == w.vp_result.counts["depth_fallback_frames"]
+    located = w.vp_result.outputs["loc3d_geometry"].toPandas()
+    fallback = located[located["est_src"] == "depth_fallback"]
+    assert cost.count("depth") == len(fallback.groupby(["video_id", "frame_idx"])) > 0
     assert cost.total_ms > 0
 
 
@@ -209,3 +216,16 @@ def test_baseline_vs_optimized_equivalent_results(spark, road):
     got_opt = set(t_opt.merge(res_opt, left_on="track_id", right_on="oid")["gt_oid"])
     got_base = set(t_base.merge(res_base, left_on="track_id", right_on="oid")["gt_oid"])
     assert got_opt == got_base == {1, 2}
+
+
+def test_plan_follows_filters_added_after_an_observation(spark, road):
+    objs = [dict(oid=1, otype="car", y=-1.75, x=0, fx=lambda f: 40.0 + 0.5 * f, heading=0.0)]
+    frames = make_frames(N, pos=(35.0, -1.75), heading=0.0, fps=FPS)
+    w = World(spark).add_geog_constructs(road)
+    w.add_video(GeospatialVideo(frames, make_gt(objs, N, fps=FPS), FPS))
+    w.filter(query("Q7"))
+    w.save_videos()
+    assert not any(op.startswith("track_") for op in w.plan.operators)
+    # A heading predicate needs tracks: the plan must gain the tracker.
+    w.filter(same_direction(obj(0), camera()))
+    assert "track_strongsort" in w.plan.operators
