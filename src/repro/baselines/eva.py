@@ -16,11 +16,11 @@ The detections themselves come from the same synthetic detector (same
 "models"), so only the execution strategy differs — which is exactly
 what the comparison measures. The materialized plan is Spatialyze's
 unoptimized decode → detect → depth operators, run once per session by
-the video processor's executor.
+the video processor's executor into a local relation the session owns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -41,13 +41,17 @@ class EvaSession:
     gt: DataFrame
     road: DataFrame
     _cache: VPResult | None = None
+    _n_dets: int = field(default=0, init=False)
 
     def _materialized(self, cost: CostReport) -> DataFrame:
         """Detector + depth over every frame; cached across queries. Every
         query decodes again, so every query is charged the decoder."""
         first = self._cache is None
         if first:
-            self._cache = execute([DECODE, detector(self.gt), LOC3D_DEPTH], self.cameras)
+            with execute([DECODE, detector(self.gt), LOC3D_DEPTH], self.cameras) as vp:
+                rows = vp.objects.toPandas()
+                table = self.cameras.sparkSession.createDataFrame(rows, vp.objects.schema)
+            self._cache, self._n_dets = VPResult(table, vp.cost), len(rows)
         for op, (n, ms) in self._cache.cost.entries.items():
             if first or op == "decode":
                 cost.add(op, n, ms)
@@ -62,10 +66,9 @@ class EvaSession:
         """
         cost = CostReport()
         d3 = self._materialized(cost)
-        n_dets = d3.count()
         # Per-frame, per-query Python UDF predicate evaluation.
         n_frames = self._cache.cost.count("decode")
-        cost.add("eva_udf", n_frames, n_frames * C.EVA_UDF_FRAME + n_dets * C.EVA_UDF_OBJ)
+        cost.add("eva_udf", n_frames, n_frames * C.EVA_UDF_FRAME + self._n_dets * C.EVA_UDF_OBJ)
         if min_count is not None:
             result = (
                 d3.filter(F.col("otype") == count_type)

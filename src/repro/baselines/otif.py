@@ -35,7 +35,7 @@ def run_otif(
     track_every: int = 2,
 ) -> tuple[DataFrame, CostReport]:
     """OTIF-style tracking over a dataset; returns (tracks, cost)."""
-    vp = execute(
+    with execute(
         [
             DECODE,
             proxy_gated_detector(gt, "otif_proxy", C.OTIF_SEG_PROXY, C.YOLO),
@@ -47,5 +47,5 @@ def run_otif(
             tracker("strongsort"),
         ],
         cameras,
-    )
-    return vp.objects, vp.cost
+    ) as vp:
+        return vp.objects, vp.cost

@@ -25,7 +25,7 @@ __all__ = ["run_skyquery", "run_spatialyze_with_skyquery_models"]
 
 
 def _run(cameras: DataFrame, gt: DataFrame, pruners: list) -> tuple[DataFrame, CostReport]:
-    vp = execute(
+    with execute(
         [
             DECODE,
             *pruners,
@@ -36,8 +36,8 @@ def _run(cameras: DataFrame, gt: DataFrame, pruners: list) -> tuple[DataFrame, C
             tracker("sort"),
         ],
         cameras,
-    )
-    return vp.objects, vp.cost
+    ) as vp:
+        return vp.objects, vp.cost
 
 
 def run_skyquery(cameras: DataFrame, gt: DataFrame) -> tuple[DataFrame, CostReport]:

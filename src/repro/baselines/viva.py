@@ -26,10 +26,10 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.pipeline import (
-    DECODE, LOC3D_DEPTH, execute, frames_out, per, proxy_gated_detector, tracker,
+    DECODE, LOC3D_DEPTH, Operator, execute, frames_out, per, proxy_gated_detector, tracker,
 )
 from repro.core.predicates import Predicate
-from repro.core.query_engine import compile_filter, movable_objects
+from repro.core.query_engine import compile_filter, movable_objects, query_engine_charge
 from repro.video.costmodel import C, CostReport
 
 __all__ = ["run_viva", "resample_fps", "PLAN_SEARCH_MS"]
@@ -54,18 +54,17 @@ def run_viva(
     """Execute one query the VIVA way; returns (result, modeled cost)."""
     lowres = C.LOWRES_FACTOR
     depth_ms = C.DEPTH * lowres
-    vp = execute(
+    with execute(
         [
             DECODE,
             proxy_gated_detector(gt, "viva_proxy", C.VIVA_PROXY, C.YOLO * lowres),
             replace(LOC3D_DEPTH, charge=per(frames_out, "depth", depth_ms)),
             tracker("deepsort"),
+            # The query engine, charged per Movable Objects row.
+            Operator("movable_objects", lambda run, tracked: movable_objects(tracked, fps=fps),
+                     query_engine_charge(1)),
         ],
         cameras,
-    )
-    cost = CostReport().add("viva_plan_search", 1, PLAN_SEARCH_MS).merge(vp.cost)
-    objects = movable_objects(vp.objects, fps=fps)
-    n_rows = objects.count()
-    cost.add("query_engine", n_rows, n_rows * C.QUERY_ROW)
-    result = compile_filter(objects, cameras, road, pred)
-    return result, cost
+    ) as vp:
+        cost = CostReport().add("viva_plan_search", 1, PLAN_SEARCH_MS).merge(vp.cost)
+        return compile_filter(vp.objects, cameras, road, pred), cost

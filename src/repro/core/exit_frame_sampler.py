@@ -45,15 +45,10 @@ def sample_frames_pandas(
     lanes: ConstructIndex,
     *,
     fps: float,
-    speed: float = SPEED_LIMIT_MPS,
-    max_skip: int | None = None,
+    max_skip: int = MAX_SKIP,
 ) -> list[int]:
     """Run the sampling algorithm for one video over the ``lanes``
-    construct index; returns sampled frames.
-
-    ``max_skip=None`` reads the module-level ``MAX_SKIP`` at call time
-    (the Fig. 4c sweep varies it)."""
-    max_skip = MAX_SKIP if max_skip is None else max_skip
+    construct index; returns sampled frames."""
     if not len(dets):
         return []
     # Each detection's lane: the first (lowest-cid) containing one, or -1.
@@ -91,13 +86,13 @@ def sample_frames_pandas(
             # (i) exitsLane: last frame before the motion ray leaves the lane.
             d_exit = ray_exit_distance((x, y), heading, poly)
             if np.isfinite(d_exit):
-                exit_frame = f + int(np.floor(d_exit / speed * fps))
+                exit_frame = f + int(np.floor(d_exit / SPEED_LIMIT_MPS * fps))
                 next_f = min(next_f, max(exit_frame, f + 1))
             # (ii) exitsCamera: extrapolate; first future frame out of view.
             h = np.deg2rad(heading)
             ks = np.arange(1, max_skip + 1)
-            px = x + np.cos(h) * speed * ks / fps
-            py = y + np.sin(h) * speed * ks / fps
+            px = x + np.cos(h) * SPEED_LIMIT_MPS * ks / fps
+            py = y + np.sin(h) * SPEED_LIMIT_MPS * ks / fps
             for k, (qx, qy) in zip(ks, zip(px, py)):
                 hull = hull_by_frame.get(f + int(k))
                 if hull is None or len(hull) < 3 or not point_in_polygon(qx, qy, hull):
@@ -116,15 +111,12 @@ def sample_frames(
     lanes: ConstructIndex,
     *,
     fps: float,
-    speed: float = SPEED_LIMIT_MPS,
-    max_skip: int | None = None,
+    max_skip: int = MAX_SKIP,
 ) -> DataFrame:
     """ExitFrameSampler operator: (video_id, frame_idx) rows to keep."""
 
     def run(key, det_pdf: pd.DataFrame, hull_pdf: pd.DataFrame) -> pd.DataFrame:
-        frames = sample_frames_pandas(
-            det_pdf, hull_pdf, lanes, fps=fps, speed=speed, max_skip=max_skip
-        )
+        frames = sample_frames_pandas(det_pdf, hull_pdf, lanes, fps=fps, max_skip=max_skip)
         return pd.DataFrame({"video_id": key[0], "frame_idx": pd.array(frames, dtype="int64")})
 
     return (

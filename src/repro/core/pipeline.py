@@ -5,8 +5,9 @@ Each operator applies one DataFrame→DataFrame step; the executor
 persists the step's output and counts its rows per frame once, and the
 operator's charge prices those counts (and its input's) with the
 calibrated cost model — pruning effectiveness is observed, never
-assumed. Spatialyze's plans (Listing 2 + §6 placements,
-:func:`run_video_processor`) and the comparison systems' plans in
+assumed. ``execute`` is a scope, the only code that caches: on exit it
+releases the outputs it persisted. Spatialyze's plans (Listing 2 + §6
+placements, :func:`run_video_processor`) and the comparison systems' plans in
 ``repro.baselines`` differ only in which operators they list and what
 each charges. The paper's O(1)-frames streaming property maps to
 Spark's pipelined execution within a stage.
@@ -17,14 +18,16 @@ every plan's calls; ``perfbench/tracing.py`` relies on that.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.exit_frame_sampler import sample_frames
+from repro.core.exit_frame_sampler import MAX_SKIP, sample_frames
 from repro.core.geom3d import estimate_3d_geometry
 from repro.core.planner import Plan
 from repro.core.road_visibility import construct_index, frame_view_hulls, prune_frames
@@ -48,8 +51,8 @@ FRAME_KEY = ["video_id", "frame_idx"]
 class VPResult:
     """Tracked, 3D-located detections + modeled cost.
 
-    ``outputs`` maps each operator's name to its persisted output
-    DataFrame.
+    ``outputs`` maps each operator's name to its output DataFrame,
+    cached while the executor's scope is open.
     """
 
     objects: DataFrame
@@ -80,20 +83,31 @@ def frame_counts(df: DataFrame) -> np.ndarray:
     return np.array([r[0] for r in rows], dtype=np.int64)
 
 
-def execute(operators: list[Operator], source: DataFrame) -> VPResult:
+@contextmanager
+def execute(operators: list[Operator], source: DataFrame) -> Iterator[VPResult]:
     """Run ``operators`` in order over ``source``; ``objects`` is the last
     operator's output. The only place a plan step is materialized and
-    counted: each output is persisted and counted per frame once, and
-    the next operator's charge reads that count as its input."""
+    counted: each output is cached and counted per frame once, and the
+    next operator's charge reads that count as its input. An output is
+    persisted only if Spark has no cache entry for its plan, and on exit
+    only those are unpersisted: an entry another caller made is reused.
+    An output read after the scope is recomputed."""
     run = VPResult(source, CostReport())
-    n_in = None
-    for op in operators:
-        out = op.apply(run, run.objects).persist()
-        n_out = frame_counts(out)
-        op.charge(run.cost, n_in, n_out, out)
-        run.objects = run.outputs[op.name] = out
-        n_in = n_out
-    return run
+    persisted: list[DataFrame] = []
+    try:
+        n_in = None
+        for op in operators:
+            out = op.apply(run, run.objects)
+            if out.storageLevel == StorageLevel.NONE:
+                persisted.append(out.persist())
+            n_out = frame_counts(out)
+            op.charge(run.cost, n_in, n_out, out)
+            run.objects = run.outputs[op.name] = out
+            n_in = n_out
+        yield run
+    finally:
+        for df in persisted:
+            df.unpersist()
 
 
 # The units a charge counts, from its operator's input and output counts.
@@ -181,6 +195,7 @@ def tracker(variant: str) -> Operator:
     )
 
 
+@contextmanager
 def run_video_processor(
     cameras: DataFrame,
     gt: DataFrame,
@@ -189,9 +204,9 @@ def run_video_processor(
     *,
     fps: float,
     seed: int = 0,
-    efs_max_skip: int | None = None,
-) -> VPResult:
-    """Execute ``plan`` over one dataset's frames; returns objects+cost.
+    efs_max_skip: int = MAX_SKIP,
+) -> Iterator[VPResult]:
+    """Execute ``plan`` over one dataset's frames in an :func:`execute` scope.
 
     ``objects`` always has the Movable Objects columns, whichever
     operators the plan left out.
@@ -217,17 +232,13 @@ def run_video_processor(
         tracker(plan.tracker_variant),
     )
     by_name = {op.name: op for op in catalog}
-    vp = execute([by_name[name] for name in plan.operators], cameras)
-    if not plan.include_detector:
-        empty = detect(vp.objects.limit(0), gt.limit(0), seed=seed)
-        vp.objects = empty.withColumn("track_id", F.lit(-1).cast("long"))
-        return vp
-    if not plan.include_loc3d:
-        unknown = F.lit(None).cast("double")
-        vp.objects = vp.objects.withColumns(
-            {"wx": unknown, "wy": unknown, "wz": unknown, "est_src": F.lit("none")}
-        )
-    if not plan.include_tracker:
-        # Per-frame objects: each detection is its own Movable Object.
-        vp.objects = vp.objects.withColumn("track_id", F.col("det_id"))
-    return vp
+    with execute([by_name[name] for name in plan.operators], cameras) as vp:
+        if not plan.include_loc3d:
+            unknown = F.lit(None).cast("double")
+            vp.objects = vp.objects.withColumns(
+                {"wx": unknown, "wy": unknown, "wz": unknown, "est_src": F.lit("none")}
+            )
+        if not plan.include_tracker:
+            # Per-frame objects: each detection is its own Movable Object.
+            vp.objects = vp.objects.withColumn("track_id", F.col("det_id"))
+        yield vp

@@ -42,7 +42,6 @@ ALL_OPTIMIZATIONS = frozenset({"rvp", "otp", "geom3d", "efs"})
 class Plan:
     """An executable video-processing plan."""
 
-    include_detector: bool
     include_loc3d: bool
     include_tracker: bool
     loc3d_impl: str  # 'geometry' | 'depth'
@@ -57,11 +56,7 @@ class Plan:
     @property
     def operators(self) -> list[str]:
         """Ordered operator names, for display/tests."""
-        ops = ["decode"]
-        if self.use_rvp:
-            ops.append("rvp")
-        if self.include_detector:
-            ops.append("detect")
+        ops = ["decode", "rvp", "detect"] if self.use_rvp else ["decode", "detect"]
         if self.use_otp:
             ops.append("otp")
         if self.include_loc3d:
@@ -83,13 +78,14 @@ def plan_workflow(
     unknown = set(optimizations) - ALL_OPTIMIZATIONS
     if unknown:
         raise ValueError(f"unknown optimizations: {sorted(unknown)}")
+    if not object_refs(pred):
+        raise ValueError("predicate references no objects")
     caps = required_capabilities(pred)
     cons = object_type_constraints(pred)
     all_types: frozenset[str] = (
         frozenset().union(*cons.values()) if cons else frozenset()
     )
 
-    include_detector = bool(object_refs(pred)) or "detection" in caps
     include_tracker = "tracks" in caps
     # Trajectories are computed from world-space locations, so tracking
     # implies 3D estimation.
@@ -112,7 +108,6 @@ def plan_workflow(
         and all_types <= VEHICLE_TYPES
     )
     return Plan(
-        include_detector=include_detector,
         include_loc3d=include_loc3d,
         include_tracker=include_tracker,
         loc3d_impl="geometry" if (geometry_ok and include_loc3d) else "depth",

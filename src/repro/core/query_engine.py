@@ -28,7 +28,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.pipeline import frame_counts
+from repro.core.pipeline import Charge, frame_counts
 from repro.core.predicates import (
     And,
     CameraRef,
@@ -51,8 +51,10 @@ from repro.core.predicates import (
     object_type_constraints,
 )
 from repro.core.road_visibility import construct_index, containing
+from repro.video.costmodel import C, CostReport
 
-__all__ = ["movable_objects", "compile_filter", "result_key_columns", "combination_count"]
+__all__ = ["movable_objects", "compile_filter", "result_key_columns", "combination_count",
+           "query_engine_charge"]
 
 TURN_WINDOW_S = 2.5
 TURN_MIN_DEG = 30.0
@@ -168,17 +170,26 @@ def movable_objects(tracked: DataFrame, *, fps: float) -> DataFrame:
     return base.drop("ts_ms")
 
 
+def query_engine_charge(k: int) -> Charge:
+    """Charge ``query_engine`` for the ordered object tuples a k-object
+    self-join evaluates — the work measure of the query-engine stage —
+    from the Movable Objects table's own per-frame counts n_f:
+    sum_f n_f*(n_f-1)*...*(n_f-k+1); k=1 degenerates to the row count.
+    This is why §7.1.1's Q8 (two self-joins) costs Spatialyze as much as
+    EVA's simple count."""
+
+    def charge(cost: CostReport, n_in, n: np.ndarray, objects) -> None:
+        tuples = int(np.prod([np.maximum(n - i, 0) for i in range(k)], axis=0).sum())
+        cost.add("query_engine", tuples, tuples * C.QUERY_ROW)
+
+    return charge
+
+
 def combination_count(objects: DataFrame, pred: Predicate) -> int:
-    """Number of ordered object tuples the self-join evaluates — the
-    work measure of the query-engine stage. With k object refs and n_f
-    objects in frame f, it is sum_f n_f*(n_f-1)*...*(n_f-k+1); k=1
-    degenerates to the row count. This is why §7.1.1's Q8 (two
-    self-joins) costs Spatialyze as much as EVA's simple count."""
-    n = frame_counts(objects)
-    tuples = np.ones_like(n)
-    for i in range(len(object_refs(pred))):
-        tuples *= np.maximum(n - i, 0)
-    return int(tuples.sum())
+    """The tuple count :func:`query_engine_charge` charges for ``pred``."""
+    cost = CostReport()
+    query_engine_charge(len(object_refs(pred)))(cost, None, frame_counts(objects), objects)
+    return int(cost.count("query_engine"))
 
 
 def _alias_of(e: Entity) -> str:

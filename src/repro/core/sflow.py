@@ -24,10 +24,10 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.output import get_objects, save_videos
-from repro.core.pipeline import VPResult, run_video_processor
+from repro.core.pipeline import Operator, VPResult, execute, run_video_processor
 from repro.core.planner import ALL_OPTIMIZATIONS, Plan, plan_workflow
-from repro.core.predicates import And, Predicate
-from repro.core.query_engine import combination_count, compile_filter, movable_objects
+from repro.core.predicates import And, Predicate, object_refs
+from repro.core.query_engine import compile_filter, movable_objects, query_engine_charge
 from repro.video.costmodel import C, CostReport
 from repro.world.datasets import Dataset, road_table
 from repro.world.roadnetwork import RoadNetwork
@@ -65,7 +65,6 @@ class World:
         self._videos: list[GeospatialVideo] = []
         self._preds: list[Predicate] = []
         self._vp: VPResult | None = None
-        self._persisted: list[DataFrame] = []
 
     # ------------------------------------------------------------ build
     def add_geog_constructs(self, road: RoadNetwork) -> "World":
@@ -110,11 +109,12 @@ class World:
         sdf = self.spark.createDataFrame
         return sdf(cams), sdf(gt), road_table(self.spark, self._road)
 
-    def execute(self) -> tuple[DataFrame, CostReport]:
-        """Run all four stages; returns (query result, total cost). The
-        executor's outputs and the Movable Objects table it persists are
-        listed in ``_persisted`` for the observer to release."""
-        pred = self.predicate
+    def _observe(
+        self, compose: Callable[[DataFrame], DataFrame]
+    ) -> tuple[pd.DataFrame, CostReport]:
+        """Run all four stages and collect ``compose(result)`` inside the
+        executor's scopes, before they release what they cached."""
+        pred, plan = self.predicate, self.plan
         cams, gt, road = self._tables()
         cost = CostReport()
         # ① Data Integrator: road tables + frame-by-frame video x camera join.
@@ -122,30 +122,16 @@ class World:
         n_frames = len(pd.concat([v.cameras for v in self._videos]))
         cost.add("integrate", n_constructs + n_frames,
                  n_constructs * C.INTEGRATE_CONSTRUCT + n_frames * C.INTEGRATE_FRAME)
-        # ② Video Processor.
-        vp = run_video_processor(cams, gt, road, self.plan, fps=self.fps, seed=self.seed)
+        # ② Video Processor, then ③ the Movable Objects Query Engine as one
+        # more executor step, charged by the k-way self-join's combinations.
+        engine = Operator("movable_objects",
+                          lambda run, tracked: movable_objects(tracked, fps=self.fps),
+                          query_engine_charge(len(object_refs(pred))))
+        with run_video_processor(cams, gt, road, plan, fps=self.fps, seed=self.seed) as vp:
+            with execute([engine], vp.objects) as table:
+                out = compose(compile_filter(table.objects, cams, road, pred)).toPandas()
         self._vp = vp
-        cost.merge(vp.cost)
-        # ③ Movable Objects Query Engine.
-        objects = movable_objects(vp.objects, fps=self.fps).persist()
-        self._persisted = [*vp.outputs.values(), objects]
-        # The engine's work scales with the self-join combinations it
-        # evaluates (k object refs → k-way temporal-index self-join).
-        n_comb = combination_count(objects, pred)
-        cost.add("query_engine", n_comb, n_comb * C.QUERY_ROW)
-        return compile_filter(objects, cams, road, pred), cost
-
-    def _observe(
-        self, compose: Callable[[DataFrame], DataFrame]
-    ) -> tuple[pd.DataFrame, CostReport]:
-        """Execute, collect ``compose(result)``, then release what execute()
-        persisted."""
-        result, cost = self.execute()
-        try:
-            return compose(result).toPandas(), cost
-        finally:
-            for df in self._persisted:
-                df.unpersist()
+        return out, cost.merge(vp.cost).merge(table.cost)
 
     # ------------------------------------------------------------ observe
     def get_objects(self) -> tuple[pd.DataFrame, CostReport]:

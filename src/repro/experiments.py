@@ -13,6 +13,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.exit_frame_sampler import MAX_SKIP
 from repro.core.pipeline import run_video_processor
 from repro.core.planner import ALL_OPTIMIZATIONS, plan_workflow
 from repro.core.queries import query
@@ -63,22 +64,22 @@ def run_setup(
     setup: str,
     *,
     seed: int = 0,
-    efs_max_skip: int | None = None,
+    efs_max_skip: int = MAX_SKIP,
 ) -> SetupRun:
     """Run one query's video processor under one ablation setup."""
     pred = query(qname)
     plan = plan_workflow(pred, optimizations=SETUPS[setup])
-    vp = run_video_processor(
+    with run_video_processor(
         ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark), plan, fps=ds.fps,
         seed=seed, efs_max_skip=efs_max_skip,
-    )
-    cols = [c for c in TRACK_COLS if c in vp.objects.columns]
-    tracked = vp.objects.select(*cols).toPandas() if plan.include_tracker else pd.DataFrame(
-        columns=TRACK_COLS
-    )
-    rvp_frames = (
-        vp.outputs["rvp"].select("video_id", "frame_idx").toPandas() if plan.use_rvp else None
-    )
+    ) as vp:
+        cols = [c for c in TRACK_COLS if c in vp.objects.columns]
+        tracked = vp.objects.select(*cols).toPandas() if plan.include_tracker else pd.DataFrame(
+            columns=TRACK_COLS
+        )
+        rvp_frames = (
+            vp.outputs["rvp"].select("video_id", "frame_idx").toPandas() if plan.use_rvp else None
+        )
     return SetupRun(setup, qname, vp.cost, tracked, rvp_frames)
 
 

@@ -7,20 +7,18 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.baselines.eva import EvaSession
 from repro.baselines.nuscenes_devkit import MaterializationLimit, run_devkit_query
 from repro.baselines.otif import run_otif
 from repro.baselines.skyquery import run_skyquery, run_spatialyze_with_skyquery_models
 from repro.baselines.viva import run_viva
-from repro.core.pipeline import run_video_processor
+from repro.core.pipeline import Operator, execute, run_video_processor
 from repro.core.planner import ALL_OPTIMIZATIONS, plan_workflow
 from repro.core.queries import query
-from repro.core.query_engine import compile_filter, movable_objects
+from repro.core.query_engine import compile_filter, movable_objects, query_engine_charge
 from repro.core.sflow import World
 from repro.experiments import SETUPS, fps_of, run_setup
 from repro.metrics.f1 import skip_f1, skip_runtime_ratio
@@ -76,11 +74,14 @@ def viva_comparison(spark: SparkSession, ds: Dataset, *, target_fps: float = 1.0
     _, viva_cost = run_viva(cams, gt, road, pred, fps=target_fps)
     # Spatialyze side: same models at the same resolution, DeepSORT.
     plan = plan_workflow(pred, tracker_variant="deepsort")
-    vp = run_video_processor(cams, gt, road, plan, fps=target_fps)
-    objects = movable_objects(vp.objects, fps=target_fps)
-    n_rows = objects.count()
-    sp_cost = _scale_lowres(vp.cost).add("query_engine", n_rows, n_rows * C.QUERY_ROW)
-    compile_filter(objects, cams, road, pred).count()
+    # The query engine is charged per Movable Objects row, as on the VIVA side.
+    engine = Operator("movable_objects",
+                      lambda run, tracked: movable_objects(tracked, fps=target_fps),
+                      query_engine_charge(1))
+    with run_video_processor(cams, gt, road, plan, fps=target_fps) as vp:
+        with execute([engine], vp.objects) as table:
+            compile_filter(table.objects, cams, road, pred).count()
+    sp_cost = _scale_lowres(vp.cost).merge(table.cost)
     return pd.DataFrame(
         [
             {
@@ -107,36 +108,37 @@ def devkit_comparison(
     # object table is built without the Object Type Pruner; type filters
     # are part of the queries, evaluated by each engine itself.
     plan = plan_workflow(query("Q2"), optimizations=frozenset({"geom3d"}))
-    vp = run_video_processor(cams, gt, road, plan, fps=ds.fps)
-    objects_sdf = movable_objects(vp.objects, fps=ds.fps).persist()
-    objects_pdf = objects_sdf.toPandas()
-    cams_pdf = ds.cameras
-    rows = []
-    for q in queries:
-        pred = query(q)
-        t0 = time.perf_counter()
-        result = compile_filter(objects_sdf, cams, road, pred)
-        n_spark = result.count()
-        spark_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        oom = False
-        try:
-            naive = run_devkit_query(objects_pdf, cams_pdf, ds.road.df, pred)
-            n_naive = len(naive)
-        except MaterializationLimit:
-            oom, n_naive = True, -1
-        devkit_s = time.perf_counter() - t0
-        rows.append(
-            {
-                "query": q,
-                "spark_engine_s": spark_s,
-                "devkit_s": devkit_s,
-                "speedup": devkit_s / spark_s,
-                "rows_spark": n_spark,
-                "rows_devkit": n_naive,
-                "devkit_oom": oom,
-            }
-        )
+    store = Operator("movable_objects", lambda run, tracked: movable_objects(tracked, fps=ds.fps),
+                     lambda *_: None)
+    with run_video_processor(cams, gt, road, plan, fps=ds.fps) as vp:
+        with execute([store], vp.objects) as table:
+            objects_pdf = table.objects.toPandas()
+            rows = []
+            for q in queries:
+                pred = query(q)
+                t0 = time.perf_counter()
+                result = compile_filter(table.objects, cams, road, pred)
+                n_spark = result.count()
+                spark_s = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                oom = False
+                try:
+                    naive = run_devkit_query(objects_pdf, ds.cameras, ds.road.df, pred)
+                    n_naive = len(naive)
+                except MaterializationLimit:
+                    oom, n_naive = True, -1
+                devkit_s = time.perf_counter() - t0
+                rows.append(
+                    {
+                        "query": q,
+                        "spark_engine_s": spark_s,
+                        "devkit_s": devkit_s,
+                        "speedup": devkit_s / spark_s,
+                        "rows_spark": n_spark,
+                        "rows_devkit": n_naive,
+                        "devkit_oom": oom,
+                    }
+                )
     return pd.DataFrame(rows)
 
 

@@ -2,20 +2,29 @@
 function through ``repro.core.pipeline``'s globals (the contract the
 per-layer tracer depends on), every charge counts its own operator's
 input or output, every plan that tracks charges the tracker by the
-per-frame counts of its output, and a workflow releases what it cached."""
+per-frame counts of its output, and every run releases exactly what it
+cached — which only the executor does."""
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame
 
 from repro.baselines.otif import run_otif
 from repro.baselines.skyquery import run_skyquery, run_spatialyze_with_skyquery_models
+from repro.baselines.viva import run_viva
 from repro.core import pipeline
 from repro.core.queries import query
 from repro.core.sflow import World
-from repro.experiments import SETUPS
+from repro.experiments import SETUPS, run_setup
+from repro.experiments_compare import devkit_comparison, eva_comparison
 from repro.video.costmodel import tracker_frame_cost
+from repro.video.decoder import decode
 from repro.world.datasets import nuscenes_lite, skyquery_lite
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Plan.operators entry -> the layer function it must call.
 LAYER_OF = {
@@ -42,8 +51,8 @@ def ds():
 def q2_worlds(spark, ds):
     """Q2 under SB and S6 through ``World.save_videos()``, with each layer
     name in ``repro.core.pipeline`` replaced by a call-recording wrapper,
-    and the persisted RDDs counted before (from a cleared cache) and after
-    each workflow."""
+    and the persisted RDDs counted before and after each workflow, in
+    whatever cache state earlier tests left."""
     calls: dict[str, list[tuple[str, object]]] = {}
     worlds, cached = {}, {}
     persistent = spark.sparkContext._jsc.sc().getPersistentRDDs
@@ -62,9 +71,6 @@ def q2_worlds(spark, ds):
             calls[current] = []
             w = World.from_dataset(spark, ds, optimizations=SETUPS[current])
             w.filter(query("Q2"))
-            # Spark keys its cache by plan: a table an earlier test cached
-            # would be shared with (and released by) this workflow.
-            spark.catalog.clearCache()
             before = persistent().size()
             w.save_videos()
             cached[current] = (before, persistent().size())
@@ -152,3 +158,64 @@ def test_skyquery_tracker_charge(sky):
 def test_spatialyze_with_skyquery_models_tracker_charge(sky):
     tracked, cost = run_spatialyze_with_skyquery_models(*sky)
     _assert_tracker_charge(tracked, cost, "sort")
+
+
+def _world(spark, ds, observe: str):
+    w = World.from_dataset(spark, ds)
+    w.filter(query("Q2"))
+    getattr(w, observe)()
+
+
+# Every entry point that runs the executor, on small inputs.
+RUNS = {
+    "World.save_videos": lambda spark, ds, sky: _world(spark, ds, "save_videos"),
+    "World.get_objects": lambda spark, ds, sky: _world(spark, ds, "get_objects"),
+    "run_setup_SB": lambda spark, ds, sky: run_setup(spark, ds, "Q2", "SB"),
+    "run_setup_S6": lambda spark, ds, sky: run_setup(spark, ds, "Q2", "S6"),
+    "run_otif": lambda spark, ds, sky: run_otif(ds.cameras_sdf(spark), ds.gt_sdf(spark)),
+    "run_skyquery": lambda spark, ds, sky: run_skyquery(*sky[:2]),
+    "run_spatialyze_with_skyquery_models":
+        lambda spark, ds, sky: run_spatialyze_with_skyquery_models(*sky),
+    "run_viva": lambda spark, ds, sky: run_viva(
+        ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark), query("Q9"), fps=ds.fps
+    ),
+    "devkit_comparison": lambda spark, ds, sky: devkit_comparison(spark, ds, queries=("Q2",)),
+    "eva_comparison": lambda spark, ds, sky: eva_comparison(spark, ds),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_every_run_releases_what_it_cached(spark, ds, sky, name):
+    persistent = spark.sparkContext._jsc.sc().getPersistentRDDs
+    before = persistent().size()
+    RUNS[name](spark, ds, sky)
+    assert persistent().size() == before
+
+
+def test_save_videos_keeps_a_cache_it_did_not_make(spark, ds):
+    """Spark keys its cache by plan: a workflow that meets an entry an
+    earlier caller made for the same frames reuses it and leaves it."""
+    persistent = spark.sparkContext._jsc.sc().getPersistentRDDs
+    mine = decode(ds.cameras_sdf(spark)).persist()
+    try:
+        mine.count()
+        before = persistent().size()
+        _world(spark, ds, "save_videos")
+        assert mine.storageLevel != StorageLevel.NONE
+        assert persistent().size() == before
+    finally:
+        mine.unpersist()
+
+
+def test_only_the_executor_caches():
+    """No code in ``src/repro`` or ``jobs`` outside ``core/pipeline.py``
+    persists, caches or unpersists a DataFrame."""
+    calls = []
+    for path in sorted([*(ROOT / "src" / "repro").rglob("*.py"), *(ROOT / "jobs").rglob("*.py")]):
+        if path == ROOT / "src" / "repro" / "core" / "pipeline.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in {"persist", "unpersist", "cache"}):
+                calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert calls == []

@@ -96,5 +96,11 @@ def test_unknown_optimization_rejected():
         plan_workflow(query("Q1"), optimizations={"warp_drive"})
 
 
+def test_predicate_without_objects_rejected():
+    # A plan always runs the detector: a camera-only predicate has no plan.
+    with pytest.raises(ValueError, match="predicate references no objects"):
+        plan_workflow(P.contains(P.geo_construct("lane"), P.camera()))
+
+
 def test_all_optimizations_constant():
     assert ALL_OPTIMIZATIONS == {"rvp", "otp", "geom3d", "efs"}

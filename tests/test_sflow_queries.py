@@ -9,7 +9,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.predicates import camera, obj, same_direction
+from repro.core.predicates import camera, contains, geo_construct, obj, same_direction
 from repro.core.queries import query
 from repro.core.sflow import GeospatialVideo, World
 from repro.world.roadnetwork import grid_road_network
@@ -229,3 +229,14 @@ def test_plan_follows_filters_added_after_an_observation(spark, road):
     # A heading predicate needs tracks: the plan must gain the tracker.
     w.filter(same_direction(obj(0), camera()))
     assert "track_strongsort" in w.plan.operators
+
+
+def test_camera_only_predicate_is_rejected(spark, road):
+    # Nothing to detect: the planner refuses before anything runs.
+    objs = [dict(oid=1, otype="car", y=-1.75, x=0, fx=lambda f: 40.0 + 0.5 * f, heading=0.0)]
+    w = World(spark).add_geog_constructs(road)
+    w.add_video(GeospatialVideo(make_frames(N, pos=(35.0, -1.75), fps=FPS),
+                                make_gt(objs, N, fps=FPS), FPS))
+    w.filter(contains(geo_construct("lane"), camera()))
+    with pytest.raises(ValueError, match="predicate references no objects"):
+        w.save_videos()
