@@ -82,7 +82,6 @@ class EvaSession:
         # (charged above) — there is no metadata-store join stage. The
         # result set is computed with our engine only to have comparable
         # outputs.
-        objects = d3.withColumn("track_id", F.col("det_id"))
-        obj_table = movable_objects(objects, fps=12.0)
+        obj_table = movable_objects(d3, fps=12.0)
         result = compile_filter(obj_table, self.cameras, self.road, pred)
         return result, cost

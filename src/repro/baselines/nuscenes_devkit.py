@@ -131,18 +131,20 @@ def run_devkit_query(
     geo_rows = {
         (g.gtype, g.idx): road[road["type"] == g.gtype].to_dict("records") for g in grefs
     }
-    n_geo_bindings = 1
-    for rows_ in geo_rows.values():
-        n_geo_bindings *= max(1, len(rows_))
-    cam_by = {(r["video_id"], r["frame_idx"]): r for r in cams.to_dict("records")}
-    out = []
-    total = 0
     geo_binding_list = (
         [dict(zip(geo_rows.keys(), b)) for b in product(*geo_rows.values())]
         if geo_rows
         else [{}]
     )
-    for (vid, fidx), grp in objects.groupby(["video_id", "frame_idx"]):
+    frames = objects.groupby(["video_id", "frame_idx"])
+    # The combinations the loop below materializes, counted up front so
+    # the limit is hit before any tuple is evaluated.
+    total = sum(math.perm(n, k) for n in frames.size()) * len(geo_binding_list)
+    if total > max_combinations:
+        raise MaterializationLimit(f"would materialize {total} combinations (> {max_combinations})")
+    cam_by = {(r["video_id"], r["frame_idx"]): r for r in cams.to_dict("records")}
+    out = []
+    for (vid, fidx), grp in frames:
         rows = grp.to_dict("records")
         # Materialize ALL (ordered k-tuple x geo binding) combinations
         # *before* filtering — the devkit behavior the paper blames for
@@ -152,11 +154,6 @@ def run_devkit_query(
             for tup in permutations(rows, k)
             for geo_env in geo_binding_list
         ]
-        total += len(combos)
-        if total > max_combinations:
-            raise MaterializationLimit(
-                f"materialized {total} combinations (> {max_combinations})"
-            )
         cam_row = cam_by.get((vid, fidx))
         if cam_row is None:
             continue

@@ -23,24 +23,18 @@ from __future__ import annotations
 from dataclasses import replace
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.pipeline import (
-    DECODE, LOC3D_DEPTH, Operator, execute, frames_out, per, proxy_gated_detector, tracker,
+    DECODE, LOC3D_DEPTH, execute, frames_out, per, proxy_gated_detector, tracker,
 )
 from repro.core.predicates import Predicate
-from repro.core.query_engine import compile_filter, movable_objects, query_engine_charge
+from repro.core.query_engine import compile_filter
+from repro.core.sflow import movable_objects_step
 from repro.video.costmodel import C, CostReport
 
-__all__ = ["run_viva", "resample_fps", "PLAN_SEARCH_MS"]
+__all__ = ["run_viva", "PLAN_SEARCH_MS"]
 
 PLAN_SEARCH_MS = 4000.0  # one-time optimizer planning cost per query
-
-
-def resample_fps(cameras: DataFrame, native_fps: float, target_fps: float) -> DataFrame:
-    """Keep every k-th frame to emulate resampling the video to 1 FPS."""
-    k = max(1, int(round(native_fps / target_fps)))
-    return cameras.filter(F.col("frame_idx") % k == 0)
 
 
 def run_viva(
@@ -61,8 +55,7 @@ def run_viva(
             replace(LOC3D_DEPTH, charge=per(frames_out, "depth", depth_ms)),
             tracker("deepsort"),
             # The query engine, charged per Movable Objects row.
-            Operator("movable_objects", lambda run, tracked: movable_objects(tracked, fps=fps),
-                     query_engine_charge(1)),
+            movable_objects_step(fps, 1),
         ],
         cameras,
     ) as vp:

@@ -7,9 +7,11 @@ operator's charge prices those counts (and its input's) with the
 calibrated cost model — pruning effectiveness is observed, never
 assumed. ``execute`` is a scope, the only code that caches: on exit it
 releases the outputs it persisted. Spatialyze's plans (Listing 2 + §6
-placements, :func:`run_video_processor`) and the comparison systems' plans in
+placements, :func:`video_processor`) and the comparison systems' plans in
 ``repro.baselines`` differ only in which operators they list and what
-each charges. The paper's O(1)-frames streaming property maps to
+each charges; a workflow appends its Movable Objects step
+(``repro.core.sflow.movable_objects_step``) and runs all of it in one
+scope. The paper's O(1)-frames streaming property maps to
 Spark's pipelined execution within a stage.
 
 Operators call the layer functions (``decode``, ``detect``, ...) through
@@ -41,7 +43,7 @@ from repro.video.tracker import track_objects
 __all__ = [
     "DECODE", "LOC3D_DEPTH", "LOC3D_GEOMETRY", "Operator", "VPResult", "detector", "execute",
     "frame_counts", "frames_in", "frames_out", "per", "proxy_gated_detector", "road_visibility",
-    "rows_in", "run_video_processor", "tracker",
+    "rows_in", "tracker", "video_processor",
 ]
 
 FRAME_KEY = ["video_id", "frame_idx"]
@@ -49,7 +51,7 @@ FRAME_KEY = ["video_id", "frame_idx"]
 
 @dataclass
 class VPResult:
-    """Tracked, 3D-located detections + modeled cost.
+    """One executor run: the last operator's output + modeled cost.
 
     ``outputs`` maps each operator's name to its output DataFrame,
     cached while the executor's scope is open.
@@ -195,22 +197,12 @@ def tracker(variant: str) -> Operator:
     )
 
 
-@contextmanager
-def run_video_processor(
-    cameras: DataFrame,
-    gt: DataFrame,
-    road: DataFrame,
-    plan: Plan,
-    *,
-    fps: float,
-    seed: int = 0,
+def video_processor(
+    plan: Plan, gt: DataFrame, road: DataFrame, *, fps: float, seed: int = 0,
     efs_max_skip: int = MAX_SKIP,
-) -> Iterator[VPResult]:
-    """Execute ``plan`` over one dataset's frames in an :func:`execute` scope.
-
-    ``objects`` always has the Movable Objects columns, whichever
-    operators the plan left out.
-    """
+) -> list[Operator]:
+    """Spatialyze's operators for ``plan.operators``, in order, over one
+    dataset's frames, ready for :func:`execute`."""
 
     def sample_exit_frames(run, dets3):
         lanes = construct_index(road, {"lane"})
@@ -232,13 +224,4 @@ def run_video_processor(
         tracker(plan.tracker_variant),
     )
     by_name = {op.name: op for op in catalog}
-    with execute([by_name[name] for name in plan.operators], cameras) as vp:
-        if not plan.include_loc3d:
-            unknown = F.lit(None).cast("double")
-            vp.objects = vp.objects.withColumns(
-                {"wx": unknown, "wy": unknown, "wz": unknown, "est_src": F.lit("none")}
-            )
-        if not plan.include_tracker:
-            # Per-frame objects: each detection is its own Movable Object.
-            vp.objects = vp.objects.withColumn("track_id", F.col("det_id"))
-        yield vp
+    return [by_name[name] for name in plan.operators]

@@ -20,7 +20,7 @@ analysis": each rule only fires when the predicate proves it sound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.predicates import (
     GROUND_TYPES,
@@ -40,32 +40,14 @@ ALL_OPTIMIZATIONS = frozenset({"rvp", "otp", "geom3d", "efs"})
 
 @dataclass(frozen=True)
 class Plan:
-    """An executable video-processing plan."""
+    """An executable video-processing plan: the ordered operator names
+    and the parameters those operators take."""
 
-    include_loc3d: bool
-    include_tracker: bool
-    loc3d_impl: str  # 'geometry' | 'depth'
-    tracker_variant: str
-    use_rvp: bool
+    operators: list[str]
     rvp_types: frozenset[str]
     rvp_distance: float
-    use_otp: bool
     otp_types: frozenset[str]
-    use_efs: bool
-
-    @property
-    def operators(self) -> list[str]:
-        """Ordered operator names, for display/tests."""
-        ops = ["decode", "rvp", "detect"] if self.use_rvp else ["decode", "detect"]
-        if self.use_otp:
-            ops.append("otp")
-        if self.include_loc3d:
-            ops.append("loc3d_geometry" if self.loc3d_impl == "geometry" else "loc3d_depth")
-        if self.use_efs:
-            ops.append("efs")
-        if self.include_tracker:
-            ops.append(f"track_{self.tracker_variant}")
-        return ops
+    tracker_variant: str
 
 
 def plan_workflow(
@@ -86,36 +68,27 @@ def plan_workflow(
         frozenset().union(*cons.values()) if cons else frozenset()
     )
 
-    include_tracker = "tracks" in caps
+    tracks = "tracks" in caps
+    geo_types = rvp_geo_types(pred)
+    # Every object is constrained, and to at least one type.
+    typed = cons is not None and bool(all_types)
+    rvp = "rvp" in optimizations and bool(geo_types)
+    ops = ["decode", "rvp", "detect"] if rvp else ["decode", "detect"]
+    if "otp" in optimizations and cons is not None:
+        ops.append("otp")
     # Trajectories are computed from world-space locations, so tracking
     # implies 3D estimation.
-    include_loc3d = "loc3d" in caps or include_tracker
-
-    geo_types = rvp_geo_types(pred)
-    use_rvp = "rvp" in optimizations and bool(geo_types)
-    use_otp = "otp" in optimizations and cons is not None
-    geometry_ok = (
-        "geom3d" in optimizations
-        and cons is not None
-        and all_types <= GROUND_TYPES
-        and bool(all_types)
-    )
-    use_efs = (
-        "efs" in optimizations
-        and include_tracker
-        and cons is not None
-        and bool(all_types)
-        and all_types <= VEHICLE_TYPES
-    )
+    if "loc3d" in caps or tracks:
+        geometry = "geom3d" in optimizations and typed and all_types <= GROUND_TYPES
+        ops.append("loc3d_geometry" if geometry else "loc3d_depth")
+    if "efs" in optimizations and tracks and typed and all_types <= VEHICLE_TYPES:
+        ops.append("efs")
+    if tracks:
+        ops.append(f"track_{tracker_variant}")
     return Plan(
-        include_loc3d=include_loc3d,
-        include_tracker=include_tracker,
-        loc3d_impl="geometry" if (geometry_ok and include_loc3d) else "depth",
-        tracker_variant=tracker_variant,
-        use_rvp=use_rvp,
+        ops,
         rvp_types=frozenset(geo_types),
         rvp_distance=rvp_distance(pred),
-        use_otp=use_otp,
-        otp_types=all_types if cons is not None else frozenset(),
-        use_efs=use_efs,
+        otp_types=all_types,
+        tracker_variant=tracker_variant,
     )

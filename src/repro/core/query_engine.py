@@ -95,7 +95,14 @@ def movable_objects(tracked: DataFrame, *, fps: float) -> DataFrame:
     Adds per-track derived columns: majority-vote type, motion heading,
     speed, and the windowed ``turn_left`` / ``stopped`` flags. All via
     Catalyst window/aggregate functions over the (video, track) key.
+    A plan without a 3D stage leaves the location null; without a
+    tracker, each detection is its own Movable Object.
     """
+    if "wx" not in tracked.columns:
+        unknown = F.lit(None).cast("double")
+        tracked = tracked.withColumns({"wx": unknown, "wy": unknown, "wz": unknown})
+    if "track_id" not in tracked.columns:
+        tracked = tracked.withColumn("track_id", F.col("det_id"))
     base = tracked.filter(F.col("track_id") >= 0).select(
         "video_id",
         "frame_idx",

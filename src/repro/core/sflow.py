@@ -24,7 +24,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.output import get_objects, save_videos
-from repro.core.pipeline import Operator, VPResult, execute, run_video_processor
+from repro.core.pipeline import Operator, VPResult, execute, video_processor
 from repro.core.planner import ALL_OPTIMIZATIONS, Plan, plan_workflow
 from repro.core.predicates import And, Predicate, object_refs
 from repro.core.query_engine import compile_filter, movable_objects, query_engine_charge
@@ -32,7 +32,17 @@ from repro.video.costmodel import C, CostReport
 from repro.world.datasets import Dataset, road_table
 from repro.world.roadnetwork import RoadNetwork
 
-__all__ = ["GeospatialVideo", "World"]
+__all__ = ["GeospatialVideo", "World", "movable_objects_step"]
+
+
+def movable_objects_step(fps: float, k: int) -> Operator:
+    """③ The Movable Objects Query Engine as the executor step after the
+    video processor, charged by ``query_engine_charge(k)``: the ordered
+    object tuples a k-object query's self-join evaluates. It calls
+    ``movable_objects`` through this module's globals, where
+    ``perfbench/tracing.py`` wraps it."""
+    return Operator("movable_objects", lambda run, tracked: movable_objects(tracked, fps=fps),
+                    query_engine_charge(k))
 
 
 @dataclass
@@ -113,7 +123,7 @@ class World:
         self, compose: Callable[[DataFrame], DataFrame]
     ) -> tuple[pd.DataFrame, CostReport]:
         """Run all four stages and collect ``compose(result)`` inside the
-        executor's scopes, before they release what they cached."""
+        executor's scope, before it releases what it cached."""
         pred, plan = self.predicate, self.plan
         cams, gt, road = self._tables()
         cost = CostReport()
@@ -122,16 +132,13 @@ class World:
         n_frames = len(pd.concat([v.cameras for v in self._videos]))
         cost.add("integrate", n_constructs + n_frames,
                  n_constructs * C.INTEGRATE_CONSTRUCT + n_frames * C.INTEGRATE_FRAME)
-        # ② Video Processor, then ③ the Movable Objects Query Engine as one
-        # more executor step, charged by the k-way self-join's combinations.
-        engine = Operator("movable_objects",
-                          lambda run, tracked: movable_objects(tracked, fps=self.fps),
-                          query_engine_charge(len(object_refs(pred))))
-        with run_video_processor(cams, gt, road, plan, fps=self.fps, seed=self.seed) as vp:
-            with execute([engine], vp.objects) as table:
-                out = compose(compile_filter(table.objects, cams, road, pred)).toPandas()
-        self._vp = vp
-        return out, cost.merge(vp.cost).merge(table.cost)
+        # ② Video Processor, then ③ the Movable Objects Query Engine, one plan.
+        ops = [*video_processor(plan, gt, road, fps=self.fps, seed=self.seed),
+               movable_objects_step(self.fps, len(object_refs(pred)))]
+        with execute(ops, cams) as run:
+            out = compose(compile_filter(run.objects, cams, road, pred)).toPandas()
+        self._vp = run
+        return out, cost.merge(run.cost)
 
     # ------------------------------------------------------------ observe
     def get_objects(self) -> tuple[pd.DataFrame, CostReport]:
@@ -154,5 +161,7 @@ class World:
 
     @property
     def vp_result(self) -> VPResult:
+        """The last observation's executor run: every plan operator's
+        output plus ``movable_objects``, and the charges of both stages."""
         assert self._vp is not None, "observe the World first"
         return self._vp

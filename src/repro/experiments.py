@@ -14,7 +14,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.exit_frame_sampler import MAX_SKIP
-from repro.core.pipeline import run_video_processor
+from repro.core.pipeline import execute, video_processor
 from repro.core.planner import ALL_OPTIMIZATIONS, plan_workflow
 from repro.core.queries import query
 from repro.core.sflow import World
@@ -67,20 +67,20 @@ def run_setup(
     efs_max_skip: int = MAX_SKIP,
 ) -> SetupRun:
     """Run one query's video processor under one ablation setup."""
-    pred = query(qname)
-    plan = plan_workflow(pred, optimizations=SETUPS[setup])
-    with run_video_processor(
-        ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark), plan, fps=ds.fps,
-        seed=seed, efs_max_skip=efs_max_skip,
-    ) as vp:
-        cols = [c for c in TRACK_COLS if c in vp.objects.columns]
-        tracked = vp.objects.select(*cols).toPandas() if plan.include_tracker else pd.DataFrame(
-            columns=TRACK_COLS
+    plan = plan_workflow(query(qname), optimizations=SETUPS[setup])
+    ops = video_processor(plan, ds.gt_sdf(spark), ds.road_sdf(spark), fps=ds.fps, seed=seed,
+                          efs_max_skip=efs_max_skip)
+    with execute(ops, ds.cameras_sdf(spark)) as run:
+        tracked = (
+            run.objects.select(*TRACK_COLS).toPandas()
+            if f"track_{plan.tracker_variant}" in run.outputs
+            else pd.DataFrame(columns=TRACK_COLS)
         )
         rvp_frames = (
-            vp.outputs["rvp"].select("video_id", "frame_idx").toPandas() if plan.use_rvp else None
+            run.outputs["rvp"].select("video_id", "frame_idx").toPandas()
+            if "rvp" in run.outputs else None
         )
-    return SetupRun(setup, qname, vp.cost, tracked, rvp_frames)
+    return SetupRun(setup, qname, run.cost, tracked, rvp_frames)
 
 
 def ablation_runtime_table(runs: dict[tuple[str, str], SetupRun], n_videos: int) -> pd.DataFrame:

@@ -15,11 +15,11 @@ from repro.baselines.nuscenes_devkit import MaterializationLimit, run_devkit_que
 from repro.baselines.otif import run_otif
 from repro.baselines.skyquery import run_skyquery, run_spatialyze_with_skyquery_models
 from repro.baselines.viva import run_viva
-from repro.core.pipeline import Operator, execute, run_video_processor
-from repro.core.planner import ALL_OPTIMIZATIONS, plan_workflow
+from repro.core.pipeline import execute, video_processor
+from repro.core.planner import plan_workflow
 from repro.core.queries import query
-from repro.core.query_engine import compile_filter, movable_objects, query_engine_charge
-from repro.core.sflow import World
+from repro.core.query_engine import compile_filter
+from repro.core.sflow import World, movable_objects_step
 from repro.experiments import SETUPS, fps_of, run_setup
 from repro.metrics.f1 import skip_f1, skip_runtime_ratio
 from repro.video.costmodel import C, CostReport
@@ -72,16 +72,13 @@ def viva_comparison(spark: SparkSession, ds: Dataset, *, target_fps: float = 1.0
     pred = query("Q9")
     # VIVA side.
     _, viva_cost = run_viva(cams, gt, road, pred, fps=target_fps)
-    # Spatialyze side: same models at the same resolution, DeepSORT.
+    # Spatialyze side: same models at the same resolution, DeepSORT; the
+    # query engine is charged per Movable Objects row, as on the VIVA side.
     plan = plan_workflow(pred, tracker_variant="deepsort")
-    # The query engine is charged per Movable Objects row, as on the VIVA side.
-    engine = Operator("movable_objects",
-                      lambda run, tracked: movable_objects(tracked, fps=target_fps),
-                      query_engine_charge(1))
-    with run_video_processor(cams, gt, road, plan, fps=target_fps) as vp:
-        with execute([engine], vp.objects) as table:
-            compile_filter(table.objects, cams, road, pred).count()
-    sp_cost = _scale_lowres(vp.cost).merge(table.cost)
+    with execute([*video_processor(plan, gt, road, fps=target_fps),
+                  movable_objects_step(target_fps, 1)], cams) as run:
+        compile_filter(run.objects, cams, road, pred).count()
+    sp_cost = _scale_lowres(run.cost)
     return pd.DataFrame(
         [
             {
@@ -107,38 +104,37 @@ def devkit_comparison(
     # §7.1.3 compares on already-ingested annotations), so the shared
     # object table is built without the Object Type Pruner; type filters
     # are part of the queries, evaluated by each engine itself.
+    # Only the store's rows are read, not its modeled cost.
     plan = plan_workflow(query("Q2"), optimizations=frozenset({"geom3d"}))
-    store = Operator("movable_objects", lambda run, tracked: movable_objects(tracked, fps=ds.fps),
-                     lambda *_: None)
-    with run_video_processor(cams, gt, road, plan, fps=ds.fps) as vp:
-        with execute([store], vp.objects) as table:
-            objects_pdf = table.objects.toPandas()
-            rows = []
-            for q in queries:
-                pred = query(q)
-                t0 = time.perf_counter()
-                result = compile_filter(table.objects, cams, road, pred)
-                n_spark = result.count()
-                spark_s = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                oom = False
-                try:
-                    naive = run_devkit_query(objects_pdf, ds.cameras, ds.road.df, pred)
-                    n_naive = len(naive)
-                except MaterializationLimit:
-                    oom, n_naive = True, -1
-                devkit_s = time.perf_counter() - t0
-                rows.append(
-                    {
-                        "query": q,
-                        "spark_engine_s": spark_s,
-                        "devkit_s": devkit_s,
-                        "speedup": devkit_s / spark_s,
-                        "rows_spark": n_spark,
-                        "rows_devkit": n_naive,
-                        "devkit_oom": oom,
-                    }
-                )
+    with execute([*video_processor(plan, gt, road, fps=ds.fps),
+                  movable_objects_step(ds.fps, 1)], cams) as table:
+        objects_pdf = table.objects.toPandas()
+        rows = []
+        for q in queries:
+            pred = query(q)
+            t0 = time.perf_counter()
+            result = compile_filter(table.objects, cams, road, pred)
+            n_spark = result.count()
+            spark_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            oom = False
+            try:
+                naive = run_devkit_query(objects_pdf, ds.cameras, ds.road.df, pred)
+                n_naive = len(naive)
+            except MaterializationLimit:
+                oom, n_naive = True, -1
+            devkit_s = time.perf_counter() - t0
+            rows.append(
+                {
+                    "query": q,
+                    "spark_engine_s": spark_s,
+                    "devkit_s": devkit_s,
+                    "speedup": devkit_s / spark_s,
+                    "rows_spark": n_spark,
+                    "rows_devkit": n_naive,
+                    "devkit_oom": oom,
+                }
+            )
     return pd.DataFrame(rows)
 
 

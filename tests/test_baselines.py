@@ -3,11 +3,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.baselines import nuscenes_devkit
 from repro.baselines.eva import EvaSession
 from repro.baselines.nuscenes_devkit import MaterializationLimit, run_devkit_query
 from repro.baselines.otif import OTIF_TRAINING_MS, run_otif
 from repro.baselines.skyquery import run_skyquery, run_spatialyze_with_skyquery_models
-from repro.baselines.viva import PLAN_SEARCH_MS, resample_fps, run_viva
+from repro.baselines.viva import PLAN_SEARCH_MS, run_viva
 from repro.core import predicates as P
 from repro.core.queries import query
 from repro.world.datasets import nuscenes_lite, road_table, skyquery_lite
@@ -62,12 +63,6 @@ def test_eva_q8_count_semantics(tiny_sdfs):
 
 
 # ---------------------------------------------------------------- VIVA
-
-
-def test_resample_fps_keeps_every_kth(spark, tiny_ds):
-    cams = spark.createDataFrame(tiny_ds.cameras)
-    out = resample_fps(cams, 12.0, 1.0).toPandas()
-    assert sorted(out["frame_idx"].unique()) == list(range(0, 36, 12))
 
 
 def test_viva_cost_structure(tiny_sdfs, tiny_ds):
@@ -147,6 +142,28 @@ def test_devkit_materialization_limit(devkit_tables):
     road, objects, cams = devkit_tables
     with pytest.raises(MaterializationLimit):
         run_devkit_query(objects, cams, road.df, query("Q4"), max_combinations=100)
+
+
+def test_devkit_limit_checked_before_any_tuple(devkit_tables, monkeypatch):
+    """Every frame alone is under the cap but the query is over it: the
+    limit is raised before a single tuple is evaluated."""
+    road, objects, cams = devkit_tables
+    pred = P.And(
+        (
+            P.type_in(P.obj(0), "car"),
+            P.type_in(P.obj(1), "car"),
+            P.contains(P.geo_construct("intersection"), [P.obj(0), P.obj(1)]),
+        )
+    )
+    per_frame = 8 * 7 * int((road.df["type"] == "intersection").sum())
+    calls = []
+    monkeypatch.setattr(nuscenes_devkit, "_eval", lambda *args: calls.append(args))
+    with pytest.raises(MaterializationLimit):
+        run_devkit_query(objects, cams, road.df, pred, max_combinations=per_frame + 1)
+    assert calls == []
+    # At the query's exact total the limit does not fire.
+    run_devkit_query(objects, cams, road.df, pred, max_combinations=6 * per_frame)
+    assert calls
 
 
 def test_devkit_handles_lane_heading_predicates(devkit_tables):

@@ -5,7 +5,9 @@ input or output, every plan that tracks charges the tracker by the
 per-frame counts of its output, and every run releases exactly what it
 cached — which only the executor does."""
 import ast
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from repro.core import pipeline
 from repro.core.queries import query
 from repro.core.sflow import World
 from repro.experiments import SETUPS, run_setup
-from repro.experiments_compare import devkit_comparison, eva_comparison
+from repro.experiments_compare import devkit_comparison, eva_comparison, viva_comparison
 from repro.video.costmodel import tracker_frame_cost
 from repro.video.decoder import decode
 from repro.world.datasets import nuscenes_lite, skyquery_lite
@@ -101,7 +103,8 @@ def _frames(pdf) -> int:
 @pytest.mark.parametrize("setup", ["SB", "S6"])
 def test_every_charge_counts_its_operator(q2_worlds, setup):
     """Each cost count equals a pandas count of the charged operator's
-    input or output, read back from ``vp.outputs``."""
+    input or output, read back from ``vp.outputs`` — the video
+    processor's operators and the Movable Objects step alike."""
     worlds, _, _ = q2_worlds
     vp = worlds[setup].vp_result
     out = {name: df.toPandas() for name, df in vp.outputs.items()}
@@ -118,7 +121,11 @@ def test_every_charge_counts_its_operator(q2_worlds, setup):
             "depth": _frames(located[located["est_src"] == "depth_fallback"]),
             "efs": _frames(located),
         }
-    assert want["yolo"] > 0 and want["track"] > 0
+    # The Movable Objects step: Q2's two object references, so the
+    # ordered pairs of each frame, n_f * (n_f - 1).
+    n = out["movable_objects"].groupby(["video_id", "frame_idx"]).size()
+    want["query_engine"] = int((n * (n - 1)).sum())
+    assert want["yolo"] > 0 and want["track"] > 0 and want["query_engine"] > 0
     assert set(vp.cost.entries) <= set(want)
     assert {op: vp.cost.count(op) for op in want} == want
 
@@ -134,8 +141,8 @@ def _assert_tracker_charge(tracked: DataFrame, cost, variant: str) -> None:
 @pytest.mark.parametrize("setup", ["SB", "S6"])
 def test_spatialyze_tracker_charge(q2_worlds, setup):
     worlds, _, _ = q2_worlds
-    vp = worlds[setup].vp_result
-    _assert_tracker_charge(vp.objects, vp.cost, worlds[setup].plan.tracker_variant)
+    vp, variant = worlds[setup].vp_result, worlds[setup].plan.tracker_variant
+    _assert_tracker_charge(vp.outputs[f"track_{variant}"], vp.cost, variant)
 
 
 def test_otif_tracker_charge(spark, ds):
@@ -190,6 +197,43 @@ def test_every_run_releases_what_it_cached(spark, ds, sky, name):
     before = persistent().size()
     RUNS[name](spark, ds, sky)
     assert persistent().size() == before
+
+
+# Scope entries each workflow makes, all at nesting depth 0: a Spatialyze
+# workflow runs its video processor and its Movable Objects step in one
+# scope; viva_comparison runs VIVA's plan first, in a scope of its own.
+SCOPES = {
+    "World.save_videos": (RUNS["World.save_videos"], [0]),
+    "viva_comparison": (lambda spark, ds, sky: viva_comparison(spark, ds), [0, 0]),
+    "devkit_comparison": (RUNS["devkit_comparison"], [0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCOPES))
+def test_each_workflow_is_one_executor_scope(spark, ds, name):
+    """``execute`` entries, counted wherever it is imported, with the
+    number of scopes already open at each entry."""
+    original, entries, depth = pipeline.execute, [], 0
+
+    @contextmanager
+    def counting(*args, **kw):
+        nonlocal depth
+        entries.append(depth)
+        depth += 1
+        try:
+            with original(*args, **kw) as run:
+                yield run
+        finally:
+            depth -= 1
+
+    run, want = SCOPES[name]
+    with pytest.MonkeyPatch.context() as mp:
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro.")
+                    and getattr(module, "execute", None) is original):
+                mp.setattr(module, "execute", counting)
+        run(spark, ds, None)
+    assert entries == want
 
 
 def test_save_videos_keeps_a_cache_it_did_not_make(spark, ds):

@@ -4,22 +4,40 @@ import pytest
 from repro.core import predicates as P
 from repro.core.planner import ALL_OPTIMIZATIONS, plan_workflow
 from repro.core.queries import query
+from repro.experiments import SETUPS
 
 
 def test_q1_plan_no_efs():
     # Q1 is person-only: EFS must not fire (§7.2.1: "Q1 does not execute
     # the Exit Frame Sampler as it only works with cars or trucks").
     p = plan_workflow(query("Q1"))
-    assert p.use_rvp and p.rvp_types == {"intersection"}
-    assert p.use_otp and p.otp_types == {"person"}
-    assert p.loc3d_impl == "geometry"  # person is a ground type
-    assert p.include_tracker and not p.use_efs
+    assert "rvp" in p.operators and p.rvp_types == {"intersection"}
+    assert "otp" in p.operators and p.otp_types == {"person"}
+    assert "loc3d_geometry" in p.operators  # person is a ground type
+    assert "track_strongsort" in p.operators and "efs" not in p.operators
+
+
+# plan_workflow(query(q), optimizations=SETUPS[s]).operators for Q1-Q10
+# under (SB) and (S6), pinned.
+D, T = ["decode", "detect", "loc3d_depth"], "track_strongsort"
+S6_TYPED = ["decode", "rvp", "detect", "otp", "loc3d_geometry"]
+PINNED = {
+    **{(f"Q{i}", "SB"): D + [T] for i in (1, 2, 3, 4, 9, 10)},
+    **{(f"Q{i}", "SB"): D for i in (5, 6, 7, 8)},
+    **{(f"Q{i}", "S6"): S6_TYPED + [T] for i in (1, 9)},
+    **{(f"Q{i}", "S6"): S6_TYPED + ["efs", T] for i in (2, 3, 4, 10)},
+    **{(f"Q{i}", "S6"): S6_TYPED for i in (5, 6, 7, 8)},
+}
+
+
+@pytest.mark.parametrize("qname,setup", sorted(PINNED))
+def test_pinned_operators(qname, setup):
+    got = plan_workflow(query(qname), optimizations=SETUPS[setup]).operators
+    assert got == PINNED[(qname, setup)]
 
 
 def test_q2_plan_all_optimizations():
     p = plan_workflow(query("Q2"))
-    assert p.use_rvp and p.use_otp and p.use_efs
-    assert p.loc3d_impl == "geometry"
     assert p.operators == [
         "decode", "rvp", "detect", "otp", "loc3d_geometry", "efs", "track_strongsort",
     ]
@@ -34,38 +52,36 @@ def test_q3_rvp_distance_is_10():
 def test_q5_detection_only_plan():
     # Q5 has no heading predicate: no tracker in the plan (§5.2.2).
     p = plan_workflow(query("Q5"))
-    assert not p.include_tracker
-    assert p.include_loc3d  # contains() needs 3D locations
-    assert not p.use_efs
+    assert not any(op.startswith("track_") for op in p.operators)
+    assert "loc3d_geometry" in p.operators  # contains() needs 3D locations
+    assert "efs" not in p.operators
 
 
 def test_q9_mixed_types_no_efs():
     p = plan_workflow(query("Q9"))
-    assert p.use_otp and p.otp_types == {"car", "person"}
-    assert not p.use_efs  # person is not a vehicle
+    assert "otp" in p.operators and p.otp_types == {"car", "person"}
+    assert "efs" not in p.operators  # person is not a vehicle
 
 
 def test_q10_bike_lane_rvp():
     p = plan_workflow(query("Q10"))
     assert p.rvp_types == {"bikeLane"}
-    assert p.use_efs  # car-only query with tracks (stopped)
+    assert "efs" in p.operators  # car-only query with tracks (stopped)
 
 
 def test_baseline_disables_everything():
     p = plan_workflow(query("Q2"), optimizations=frozenset())
-    assert not (p.use_rvp or p.use_otp or p.use_efs)
-    assert p.loc3d_impl == "depth"
     assert p.operators == ["decode", "detect", "loc3d_depth", "track_strongsort"]
 
 
 def test_single_optimization_setups():
     q = query("Q2")
-    assert plan_workflow(q, optimizations={"rvp"}).use_rvp
-    assert not plan_workflow(q, optimizations={"rvp"}).use_otp
-    s3 = plan_workflow(q, optimizations={"geom3d"})
-    assert s3.loc3d_impl == "geometry" and not s3.use_rvp
-    s4 = plan_workflow(q, optimizations={"efs"})
-    assert s4.use_efs and s4.loc3d_impl == "depth"
+    s1 = plan_workflow(q, optimizations={"rvp"}).operators
+    assert "rvp" in s1 and "otp" not in s1
+    s3 = plan_workflow(q, optimizations={"geom3d"}).operators
+    assert "loc3d_geometry" in s3 and "rvp" not in s3
+    s4 = plan_workflow(q, optimizations={"efs"}).operators
+    assert "efs" in s4 and "loc3d_depth" in s4
 
 
 def test_unconstrained_type_blocks_otp_and_geom3d():
@@ -73,16 +89,16 @@ def test_unconstrained_type_blocks_otp_and_geom3d():
     pred = P.And((P.contains(P.geo_construct("lane"), o),
                   P.distance_lt(P.camera(), o, 50)))
     p = plan_workflow(pred)
-    assert not p.use_otp
-    assert p.loc3d_impl == "depth"  # cannot assume objects touch ground
+    assert "otp" not in p.operators
+    assert "loc3d_depth" in p.operators  # cannot assume objects touch ground
 
 
 def test_non_ground_type_uses_depth():
     pred = P.And((P.type_in(P.obj(0), "traffic light"),
                   P.contains(P.geo_construct("intersection"), P.obj(0))))
     p = plan_workflow(pred)
-    assert p.use_otp  # type known
-    assert p.loc3d_impl == "depth"  # traffic light doesn't touch ground
+    assert "otp" in p.operators  # type known
+    assert "loc3d_depth" in p.operators  # traffic light doesn't touch ground
 
 
 def test_tracker_variant_passthrough():

@@ -36,6 +36,12 @@ def run(spark, road, objs, pred, *, cam_pos=(35.0, -1.75), cam_heading=0.0, n=N,
     return objects, cost, w
 
 
+def vp_output(w: World) -> pd.DataFrame:
+    """The video processor's output of the last observation: the last
+    plan operator's, which the Movable Objects step read."""
+    return w.vp_result.outputs[w.plan.operators[-1]].toPandas()
+
+
 def oids(objects: pd.DataFrame, tracked: pd.DataFrame) -> set[int]:
     """Map matched track ids back to ground-truth object ids."""
     t = tracked[tracked["track_id"] >= 0]
@@ -53,7 +59,7 @@ def test_q1_person_perpendicular_at_intersection(spark, road):
         dict(oid=3, otype="person", y=1.5, x=68.0, fx=lambda f: 68.0 + 0.115 * f),
     ]
     objects, _, w = run(spark, road, objs, query("Q1"))
-    got = oids(objects, w.vp_result.objects.toPandas())
+    got = oids(objects, vp_output(w))
     assert got == {1}
 
 
@@ -66,7 +72,7 @@ def test_q2_two_cars_opposite_at_intersection(spark, road):
         dict(oid=3, otype="car", x=69.0, y=3.0),
     ]
     objects, _, w = run(spark, road, objs, query("Q2"))
-    got = oids(objects, w.vp_result.objects.toPandas())
+    got = oids(objects, vp_output(w))
     assert {1, 2} <= got
 
 
@@ -79,7 +85,7 @@ def test_q3_wrong_way_camera_oncoming_car(spark, road):
         dict(oid=2, otype="car", y=1.75, x=0, fx=lambda f: 20.0 + 0.9 * f, heading=0.0),
     ]
     objects, _, w = run(spark, road, objs, query("Q3"), cam_pos=(35.0, 1.75))
-    got = oids(objects, w.vp_result.objects.toPandas())
+    got = oids(objects, vp_output(w))
     assert 1 in got
     assert 2 not in got
 
@@ -91,7 +97,7 @@ def test_q4_convoy_and_opposite_pair(spark, road):
         dict(oid=3, otype="car", y=1.75, x=0, fx=lambda f: 64.0 - 0.8 * f, heading=180.0),
     ]
     objects, _, w = run(spark, road, objs, query("Q4"))
-    got = oids(objects, w.vp_result.objects.toPandas())
+    got = oids(objects, vp_output(w))
     assert got == {1, 2, 3}
 
 
@@ -102,8 +108,9 @@ def test_q5_person_at_intersection(spark, road):
     ]
     objects, _, w = run(spark, road, objs, query("Q5"))
     # Q5 is detection-only: objects are per-detection; map via gt.
-    tracked = w.vp_result.objects.toPandas()
-    got = set(tracked.merge(objects, left_on="track_id", right_on="oid")["gt_oid"])
+    # Without a tracker each detection is its own Movable Object.
+    dets = vp_output(w)
+    got = set(dets.merge(objects, left_on="det_id", right_on="oid")["gt_oid"])
     assert got == {1}
 
 
@@ -114,8 +121,9 @@ def test_q6_two_cars_at_intersection(spark, road):
         dict(oid=3, otype="person", x=70.0, y=2.0),
     ]
     objects, _, w = run(spark, road, objs, query("Q6"))
-    tracked = w.vp_result.objects.toPandas()
-    got = set(tracked.merge(objects, left_on="track_id", right_on="oid")["gt_oid"])
+    # Without a tracker each detection is its own Movable Object.
+    dets = vp_output(w)
+    got = set(dets.merge(objects, left_on="det_id", right_on="oid")["gt_oid"])
     assert got == {1, 2}
 
 
@@ -125,8 +133,9 @@ def test_q7_car_near_camera_on_lane(spark, road):
         dict(oid=2, otype="car", y=-1.75, x=60.0),  # 25 m: excluded
     ]
     objects, _, w = run(spark, road, objs, query("Q7"))
-    tracked = w.vp_result.objects.toPandas()
-    got = set(tracked.merge(objects, left_on="track_id", right_on="oid")["gt_oid"])
+    # Without a tracker each detection is its own Movable Object.
+    dets = vp_output(w)
+    got = set(dets.merge(objects, left_on="det_id", right_on="oid")["gt_oid"])
     assert got == {1}
 
 
@@ -137,8 +146,9 @@ def test_q8_three_cars_on_lanes(spark, road):
         dict(oid=3, otype="car", x=71.75, y=0, fy=lambda f: 10.0 + 0.5 * f, heading=90.0),
     ]
     objects, _, w = run(spark, road, objs, query("Q8"))
-    tracked = w.vp_result.objects.toPandas()
-    got = set(tracked.merge(objects, left_on="track_id", right_on="oid")["gt_oid"])
+    # Without a tracker each detection is its own Movable Object.
+    dets = vp_output(w)
+    got = set(dets.merge(objects, left_on="det_id", right_on="oid")["gt_oid"])
     assert got == {1, 2, 3}
 
 
@@ -156,7 +166,7 @@ def test_q9_left_turn_with_pedestrian(spark, road):
         dict(oid=3, otype="car", y=1.75, x=0, fx=lambda f: 85.0 - 0.9 * f, heading=180.0),
     ]
     objects, _, w = run(spark, road, objs, query("Q9"), n=60)
-    got = oids(objects, w.vp_result.objects.toPandas())
+    got = oids(objects, vp_output(w))
     assert 1 in got and 2 in got
     assert 3 not in got
 
@@ -167,7 +177,7 @@ def test_q10_stopped_car_in_bike_lane(spark, road):
         dict(oid=2, otype="car", y=-1.75, x=0, fx=lambda f: 40.0 + 0.9 * f, heading=0.0),
     ]
     objects, _, w = run(spark, road, objs, query("Q10"))
-    got = oids(objects, w.vp_result.objects.toPandas())
+    got = oids(objects, vp_output(w))
     assert got == {1}
 
 
@@ -211,10 +221,9 @@ def test_baseline_vs_optimized_equivalent_results(spark, road):
     ]
     res_opt, _, w_opt = run(spark, road, objs, query("Q6"))
     res_base, _, w_base = run(spark, road, objs, query("Q6"), optimizations=frozenset())
-    t_opt = w_opt.vp_result.objects.toPandas()
-    t_base = w_base.vp_result.objects.toPandas()
-    got_opt = set(t_opt.merge(res_opt, left_on="track_id", right_on="oid")["gt_oid"])
-    got_base = set(t_base.merge(res_base, left_on="track_id", right_on="oid")["gt_oid"])
+    d_opt, d_base = vp_output(w_opt), vp_output(w_base)
+    got_opt = set(d_opt.merge(res_opt, left_on="det_id", right_on="oid")["gt_oid"])
+    got_base = set(d_base.merge(res_base, left_on="det_id", right_on="oid")["gt_oid"])
     assert got_opt == got_base == {1, 2}
 
 
