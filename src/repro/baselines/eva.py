@@ -16,11 +16,12 @@ The detections themselves come from the same synthetic detector (same
 "models"), so only the execution strategy differs — which is exactly
 what the comparison measures. The materialized plan is Spatialyze's
 unoptimized decode → detect → depth operators, run once per session by
-the video processor's executor into a local relation the session owns.
+the video processor's executor, whose output is already a local relation
+the session keeps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -48,10 +49,14 @@ class EvaSession:
         query decodes again, so every query is charged the decoder."""
         first = self._cache is None
         if first:
-            with execute([DECODE, detector(self.gt), LOC3D_DEPTH], self.cameras) as vp:
-                rows = vp.objects.toPandas()
-                table = self.cameras.sparkSession.createDataFrame(rows, vp.objects.schema)
-            self._cache, self._n_dets = VPResult(table, vp.cost), len(rows)
+            # The depth step's charge also keeps its collected row count.
+            def charge_depth(report, n_in, n_out, rows) -> None:
+                LOC3D_DEPTH.charge(report, n_in, n_out, rows)
+                self._n_dets = rows.num_rows
+
+            depth = replace(LOC3D_DEPTH, charge=charge_depth)
+            with execute([DECODE, detector(self.gt), depth], self.cameras) as vp:
+                self._cache = vp
         for op, (n, ms) in self._cache.cost.entries.items():
             if first or op == "decode":
                 cost.add(op, n, ms)

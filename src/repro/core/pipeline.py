@@ -2,17 +2,18 @@
 
 A plan is an ordered list of :class:`Operator`s, run by :func:`execute`.
 Each operator applies one DataFrame→DataFrame step; the executor
-persists the step's output and counts its rows per frame once, and the
-operator's charge prices those counts (and its input's) with the
-calibrated cost model — pruning effectiveness is observed, never
-assumed. ``execute`` is a scope, the only code that caches: on exit it
-releases the outputs it persisted. Spatialyze's plans (Listing 2 + §6
-placements, :func:`video_processor`) and the comparison systems' plans in
-``repro.baselines`` differ only in which operators they list and what
+collects the step's output once, as an Arrow table, and hands that table
+to the next step as a local relation. The per-frame row counts come from
+the collected rows, and the operator's charge prices them (and its
+input's) with the calibrated cost model — pruning effectiveness is
+observed, never assumed. Nothing is cached. Spatialyze's plans
+(Listing 2 + §6 placements, :func:`video_processor`) and the comparison
+systems' plans in ``repro.baselines`` differ only in which operators they list and what
 each charges; a workflow appends its Movable Objects step
 (``repro.core.sflow.movable_objects_step``) and runs all of it in one
-scope. The paper's O(1)-frames streaming property maps to
-Spark's pipelined execution within a stage.
+``execute`` scope. The paper's O(1)-frames streaming property maps to
+Spark's pipelined execution within a step; between steps the frames
+pass through the driver.
 
 Operators call the layer functions (``decode``, ``detect``, ...) through
 this module's globals when they run, so a wrapper installed here sees
@@ -25,9 +26,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
-from pyspark import StorageLevel
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.exit_frame_sampler import MAX_SKIP, sample_frames
 from repro.core.geom3d import estimate_3d_geometry
@@ -53,8 +54,9 @@ FRAME_KEY = ["video_id", "frame_idx"]
 class VPResult:
     """One executor run: the last operator's output + modeled cost.
 
-    ``outputs`` maps each operator's name to its output DataFrame,
-    cached while the executor's scope is open.
+    ``outputs`` maps each operator's name to its output DataFrame: a
+    local relation over the rows the executor collected, valid after the
+    ``execute`` scope has closed. Reading one runs no operator again.
     """
 
     objects: DataFrame
@@ -62,9 +64,10 @@ class VPResult:
     outputs: dict[str, DataFrame] = field(default_factory=dict)
 
 
-# charge(cost, n_in, n_out, out): n_in and n_out are the frame_counts of
-# the operator's input (None for the first operator) and output.
-Charge = Callable[[CostReport, np.ndarray | None, np.ndarray, DataFrame], None]
+# charge(cost, n_in, n_out, rows): n_in and n_out are the frame_counts of
+# the operator's input (None for the first operator) and output; rows is
+# the output the executor collected.
+Charge = Callable[[CostReport, np.ndarray | None, np.ndarray, pa.Table], None]
 
 
 @dataclass(frozen=True)
@@ -78,38 +81,37 @@ class Operator:
     charge: Charge
 
 
-def frame_counts(df: DataFrame) -> np.ndarray:
-    """Rows of ``df`` per (video_id, frame_idx), one entry per frame that
-    has any rows: one ``groupBy().count()``, collected."""
-    rows = df.groupBy(*FRAME_KEY).count().select("count").collect()
-    return np.array([r[0] for r in rows], dtype=np.int64)
+def frame_counts(rows: pa.Table) -> np.ndarray:
+    """Rows of ``rows`` per (video_id, frame_idx), one entry per frame
+    that has any rows, counted on the driver from the collected keys."""
+    per_frame = rows.group_by(FRAME_KEY).aggregate([([], "count_all")])
+    return per_frame["count_all"].to_numpy()
 
 
 @contextmanager
 def execute(operators: list[Operator], source: DataFrame) -> Iterator[VPResult]:
     """Run ``operators`` in order over ``source``; ``objects`` is the last
     operator's output. The only place a plan step is materialized and
-    counted: each output is cached and counted per frame once, and the
-    next operator's charge reads that count as its input. An output is
-    persisted only if Spark has no cache entry for its plan, and on exit
-    only those are unpersisted: an entry another caller made is reused.
-    An output read after the scope is recomputed."""
+    counted: each output is collected once with ``toArrow()``, counted
+    per frame from its key columns, and handed on as ``createDataFrame``
+    of that table — a local relation with the output's schema and exact
+    values (a pandas round trip would merge NaN and null). No job runs
+    only to count, nothing is persisted, and outputs stay valid after
+    the scope.
+
+    Driver memory: the driver holds each operator's output once, rows ×
+    columns — about 1.5k detections per operator at ``nuscenes_lite``
+    6 × 32 and about 15k rows (a few MB) at the paper's 8 × 240 frames."""
     run = VPResult(source, CostReport())
-    persisted: list[DataFrame] = []
-    try:
-        n_in = None
-        for op in operators:
-            out = op.apply(run, run.objects)
-            if out.storageLevel == StorageLevel.NONE:
-                persisted.append(out.persist())
-            n_out = frame_counts(out)
-            op.charge(run.cost, n_in, n_out, out)
-            run.objects = run.outputs[op.name] = out
-            n_in = n_out
-        yield run
-    finally:
-        for df in persisted:
-            df.unpersist()
+    n_in = None
+    for op in operators:
+        out = op.apply(run, run.objects)
+        rows = out.toArrow()
+        n_out = frame_counts(rows)
+        op.charge(run.cost, n_in, n_out, rows)
+        run.objects = run.outputs[op.name] = source.sparkSession.createDataFrame(rows, out.schema)
+        n_in = n_out
+    yield run
 
 
 # The units a charge counts, from its operator's input and output counts.
@@ -129,17 +131,17 @@ def per(unit: Callable[[np.ndarray, np.ndarray], int], op: str, ms: float) -> Ch
     """Charge ``ms`` to ``op`` once per ``unit`` of the operator's counts
     (``frames_in``, ``rows_in`` or ``frames_out``)."""
 
-    def charge(cost: CostReport, n_in, n_out, out) -> None:
+    def charge(cost: CostReport, n_in, n_out, rows) -> None:
         n = unit(n_in, n_out)
         cost.add(op, n, n * ms)
 
     return charge
 
 
-def _charge_geometry(cost: CostReport, n_in, n_out, dets3: DataFrame) -> None:
+def _charge_geometry(cost: CostReport, n_in, n_out, dets3: pa.Table) -> None:
     per(rows_in, "geom3d", C.GEOM3D_OBJ)(cost, n_in, n_out, dets3)
     # The depth network runs on every frame with a fallback detection.
-    fallback = len(frame_counts(dets3.filter(F.col("est_src") == "depth_fallback")))
+    fallback = len(frame_counts(dets3.filter(pc.field("est_src") == "depth_fallback")))
     if fallback:
         cost.add("depth", fallback, fallback * C.DEPTH)
 
@@ -221,7 +223,8 @@ def video_processor(
         LOC3D_GEOMETRY,
         LOC3D_DEPTH,
         Operator("efs", sample_exit_frames, per(frames_in, "efs", C.EFS_FRAME)),
-        tracker(plan.tracker_variant),
     )
     by_name = {op.name: op for op in catalog}
-    return [by_name[name] for name in plan.operators]
+    # The tracker is named by its variant: track_<variant>.
+    return [tracker(name.removeprefix("track_")) if name.startswith("track_") else by_name[name]
+            for name in plan.operators]

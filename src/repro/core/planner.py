@@ -41,13 +41,13 @@ ALL_OPTIMIZATIONS = frozenset({"rvp", "otp", "geom3d", "efs"})
 @dataclass(frozen=True)
 class Plan:
     """An executable video-processing plan: the ordered operator names
-    and the parameters those operators take."""
+    and the parameters those operators take. The tracker's variant is
+    part of its name, ``track_<variant>``."""
 
     operators: list[str]
     rvp_types: frozenset[str]
     rvp_distance: float
     otp_types: frozenset[str]
-    tracker_variant: str
 
 
 def plan_workflow(
@@ -90,5 +90,4 @@ def plan_workflow(
         rvp_types=frozenset(geo_types),
         rvp_distance=rvp_distance(pred),
         otp_types=all_types,
-        tracker_variant=tracker_variant,
     )

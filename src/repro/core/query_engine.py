@@ -28,7 +28,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.pipeline import Charge, frame_counts
+from repro.core.pipeline import FRAME_KEY, Charge, frame_counts
 from repro.core.predicates import (
     And,
     CameraRef,
@@ -195,7 +195,8 @@ def query_engine_charge(k: int) -> Charge:
 def combination_count(objects: DataFrame, pred: Predicate) -> int:
     """The tuple count :func:`query_engine_charge` charges for ``pred``."""
     cost = CostReport()
-    query_engine_charge(len(object_refs(pred)))(cost, None, frame_counts(objects), objects)
+    keys = objects.select(*FRAME_KEY).toArrow()
+    query_engine_charge(len(object_refs(pred)))(cost, None, frame_counts(keys), keys)
     return int(cost.count("query_engine"))
 
 

@@ -122,8 +122,8 @@ class World:
     def _observe(
         self, compose: Callable[[DataFrame], DataFrame]
     ) -> tuple[pd.DataFrame, CostReport]:
-        """Run all four stages and collect ``compose(result)`` inside the
-        executor's scope, before it releases what it cached."""
+        """Run all four stages and collect ``compose(result)``; the video
+        processor and the Movable Objects step run in one executor scope."""
         pred, plan = self.predicate, self.plan
         cams, gt, road = self._tables()
         cost = CostReport()

@@ -73,7 +73,7 @@ def run_setup(
     with execute(ops, ds.cameras_sdf(spark)) as run:
         tracked = (
             run.objects.select(*TRACK_COLS).toPandas()
-            if f"track_{plan.tracker_variant}" in run.outputs
+            if any(op.startswith("track_") for op in plan.operators)
             else pd.DataFrame(columns=TRACK_COLS)
         )
         rvp_frames = (

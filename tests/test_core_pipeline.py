@@ -2,9 +2,12 @@
 function through ``repro.core.pipeline``'s globals (the contract the
 per-layer tracer depends on), every charge counts its own operator's
 input or output, every plan that tracks charges the tracker by the
-per-frame counts of its output, and every run releases exactly what it
-cached — which only the executor does."""
+per-frame counts of its output, each step's output reaches the next step
+with its schema and values intact, outputs stay readable after the run,
+and no code caches a DataFrame."""
 import ast
+import dataclasses
+import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 from pyspark import StorageLevel
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.baselines.otif import run_otif
 from repro.baselines.skyquery import run_skyquery, run_spatialyze_with_skyquery_models
@@ -141,8 +145,9 @@ def _assert_tracker_charge(tracked: DataFrame, cost, variant: str) -> None:
 @pytest.mark.parametrize("setup", ["SB", "S6"])
 def test_spatialyze_tracker_charge(q2_worlds, setup):
     worlds, _, _ = q2_worlds
-    vp, variant = worlds[setup].vp_result, worlds[setup].plan.tracker_variant
-    _assert_tracker_charge(vp.outputs[f"track_{variant}"], vp.cost, variant)
+    vp = worlds[setup].vp_result
+    (name,) = [op for op in worlds[setup].plan.operators if op.startswith("track_")]
+    _assert_tracker_charge(vp.outputs[name], vp.cost, name.removeprefix("track_"))
 
 
 def test_otif_tracker_charge(spark, ds):
@@ -237,8 +242,8 @@ def test_each_workflow_is_one_executor_scope(spark, ds, name):
 
 
 def test_save_videos_keeps_a_cache_it_did_not_make(spark, ds):
-    """Spark keys its cache by plan: a workflow that meets an entry an
-    earlier caller made for the same frames reuses it and leaves it."""
+    """A cache entry an earlier caller made for the same frames survives
+    a workflow, which releases nothing."""
     persistent = spark.sparkContext._jsc.sc().getPersistentRDDs
     mine = decode(ds.cameras_sdf(spark)).persist()
     try:
@@ -252,14 +257,81 @@ def test_save_videos_keeps_a_cache_it_did_not_make(spark, ds):
 
 
 def test_only_the_executor_caches():
-    """No code in ``src/repro`` or ``jobs`` outside ``core/pipeline.py``
-    persists, caches or unpersists a DataFrame."""
+    """No code in ``src/repro`` or ``jobs``, the executor in
+    ``core/pipeline.py`` included, persists, caches or unpersists a
+    DataFrame: the executor hands each step's output on as local rows."""
     calls = []
     for path in sorted([*(ROOT / "src" / "repro").rglob("*.py"), *(ROOT / "jobs").rglob("*.py")]):
-        if path == ROOT / "src" / "repro" / "core" / "pipeline.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr in {"persist", "unpersist", "cache"}):
                 calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert calls == []
+
+
+def _values(row) -> tuple:
+    """A row's values with NaN made comparable and kept apart from null."""
+    return tuple("NaN" if isinstance(v, float) and math.isnan(v) else v for v in row)
+
+
+@pytest.mark.parametrize("keep", ["frame_idx >= 0", "frame_idx < 0"], ids=["rows", "empty"])
+def test_the_hand_off_keeps_schema_and_values(spark, keep):
+    """A one-operator plan's output, as the executor hands it on, has the
+    operator's schema and exactly its values: NaN stays NaN, null stays
+    null. A pandas round trip would turn the NaN and the null double into
+    the same value."""
+    source = spark.createDataFrame(
+        [("v0", 0, float("nan"), None, None), ("v0", 0, 1.5, 2.0, True), ("v1", 3, None, -0.0, False)],
+        "video_id string, frame_idx long, x double, y double, ok boolean",
+    )
+    charged = []
+    step = pipeline.Operator(
+        "step",
+        lambda run, df: df.filter(keep).withColumn("n", F.lit(7).cast("long")),
+        lambda cost, n_in, n_out, rows: charged.append((n_in, sorted(n_out), rows.num_rows)),
+    )
+    want = step.apply(None, source)
+    with pipeline.execute([step], source) as run:
+        pass
+    got = run.outputs["step"]
+    assert run.objects is got
+    assert got.schema == want.schema
+    assert [_values(r) for r in got.collect()] == [_values(r) for r in want.collect()]
+    n_rows = want.count()
+    assert charged == [(None, [1, 2] if n_rows else [], n_rows)]
+
+
+def test_outputs_read_after_the_scope_do_not_rerun_the_plan(spark, q2_worlds):
+    """Collecting each operator's output after ``save_videos()`` returned
+    runs at most one Spark job: it reads the rows the executor collected
+    instead of running the plan again from ``decode``."""
+    worlds, _, _ = q2_worlds
+    sc = spark.sparkContext
+    prev = sc.getLocalProperty("spark.jobGroup.id")
+    try:
+        for setup, w in worlds.items():
+            for name, df in w.vp_result.outputs.items():
+                gid = f"read-after-scope/{setup}/{name}"
+                sc.setJobGroup(gid, gid)
+                df.collect()
+                assert len(sc.statusTracker().getJobIdsForGroup(gid)) <= 1, (setup, name)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", prev)
+
+
+@pytest.mark.parametrize("setup", ["SB", "S6"])
+def test_a_world_with_no_detections(spark, ds, setup):
+    """Every object is out of camera range: the workflow returns an empty
+    manifest, the detector is still charged once per frame it is given,
+    and every later operator counts nothing."""
+    far = dataclasses.replace(ds, gt=ds.gt.assign(x=ds.gt["x"] + 1e5))
+    w = World.from_dataset(spark, far, optimizations=SETUPS[setup])
+    w.filter(query("Q2"))
+    manifest, _ = w.save_videos()
+    assert len(manifest) == 0
+    vp = w.vp_result
+    given = vp.outputs["rvp" if "rvp" in vp.outputs else "decode"]
+    n_frames = given.select("video_id", "frame_idx").distinct().count()
+    assert n_frames > 0 and vp.cost.count("yolo") == n_frames
+    later = {"otp", "geom3d", "depth", "efs", "track", "query_engine"}
+    assert {op: vp.cost.count(op) for op in later} == dict.fromkeys(later, 0)
