@@ -17,9 +17,12 @@ containing lane) cannot be extrapolated, so no frame is skipped. The
 skip is capped at ``MAX_SKIP`` = 13 frames — the accuracy/runtime knee
 of Fig. 4(c).
 
-Runs as a cogrouped ``applyInPandas`` per video: detections (with 3D
-locations) on one side, per-frame viewable hulls on the other; the lane
-index rides along in the closure.
+Runs as one cogrouped ``applyInArrow`` per video: the detections (with
+3D locations) on one side, the frames the detector saw on the other. The
+pass computes the video's per-frame viewable hulls itself
+(``road_visibility.hulls_pandas`` at the RVP's pruning distance), picks
+the frames, and returns the input Arrow rows on them — exact values, the
+input's schema, no join back. The lane index rides along in the closure.
 """
 from __future__ import annotations
 
@@ -27,16 +30,17 @@ import bisect
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 
-from repro.core.road_visibility import ConstructIndex, containing
+from repro.core.road_visibility import ConstructIndex, containing, hulls_pandas
 from repro.geo.polygon import as_poly_array, point_in_polygon, ray_exit_distance
 from repro.world.agents import SPEED_LIMIT_MPS
 
 __all__ = ["MAX_SKIP", "sample_frames_pandas", "sample_frames"]
 
 MAX_SKIP = 13
-SAMPLED_SCHEMA = "video_id string, frame_idx long"
 
 
 def sample_frames_pandas(
@@ -107,20 +111,29 @@ def sample_frames_pandas(
 
 def sample_frames(
     dets3d: DataFrame,
-    hulls: DataFrame,
+    frames: DataFrame,
     lanes: ConstructIndex,
     *,
+    distance: float,
     fps: float,
     max_skip: int = MAX_SKIP,
 ) -> DataFrame:
-    """ExitFrameSampler operator: (video_id, frame_idx) rows to keep."""
+    """ExitFrameSampler operator: the rows of ``dets3d`` on the frames it
+    samples, given the ``frames`` the detector saw and the view distance
+    of their hulls."""
 
-    def run(key, det_pdf: pd.DataFrame, hull_pdf: pd.DataFrame) -> pd.DataFrame:
-        frames = sample_frames_pandas(det_pdf, hull_pdf, lanes, fps=fps, max_skip=max_skip)
-        return pd.DataFrame({"video_id": key[0], "frame_idx": pd.array(frames, dtype="int64")})
+    def run(dets: pa.Table, video_frames: pa.Table) -> pa.Table:
+        if not dets.num_rows:
+            return dets
+        hulls = hulls_pandas(video_frames.to_pandas(), distance)
+        sampled = sample_frames_pandas(
+            dets.select(["frame_idx", "wx", "wy"]).to_pandas(), hulls, lanes,
+            fps=fps, max_skip=max_skip,
+        )
+        return dets.filter(pc.is_in(dets["frame_idx"], pa.array(sampled, pa.int64())))
 
     return (
         dets3d.groupBy("video_id")
-        .cogroup(hulls.groupBy("video_id"))
-        .applyInPandas(run, schema=SAMPLED_SCHEMA)
+        .cogroup(frames.groupBy("video_id"))
+        .applyInArrow(run, schema=dets3d.schema)
     )

@@ -33,7 +33,7 @@ from pyspark.sql import DataFrame
 from repro.core.exit_frame_sampler import MAX_SKIP, sample_frames
 from repro.core.geom3d import estimate_3d_geometry
 from repro.core.planner import Plan
-from repro.core.road_visibility import construct_index, frame_view_hulls, prune_frames
+from repro.core.road_visibility import construct_index, prune_frames
 from repro.core.type_pruner import prune_types
 from repro.video.costmodel import C, CostReport, tracker_cost
 from repro.video.decoder import decode
@@ -207,12 +207,12 @@ def video_processor(
     dataset's frames, ready for :func:`execute`."""
 
     def sample_exit_frames(run, dets3):
-        lanes = construct_index(road, {"lane"})
-        # View hulls of the frames the detector saw: after the RVP, if any.
+        # The frames the detector saw: after the RVP, if any.
         frames = run.outputs.get("rvp", run.outputs["decode"])
-        hulls = frame_view_hulls(frames, plan.rvp_distance)
-        sampled = sample_frames(dets3, hulls, lanes, fps=fps, max_skip=efs_max_skip)
-        return dets3.join(sampled, on=FRAME_KEY, how="leftsemi")
+        return sample_frames(
+            dets3, frames, construct_index(road, {"lane"}),
+            distance=plan.rvp_distance, fps=fps, max_skip=efs_max_skip,
+        )
 
     catalog = (
         DECODE,

@@ -113,9 +113,10 @@ def movable_objects(tracked: DataFrame, *, fps: float) -> DataFrame:
         F.col("wy").alias("y"),
         F.col("wz").alias("z"),
     )
+    # On a tie the lowest type name wins, whatever the row order.
     maj = (
         base.groupBy("video_id", "oid")
-        .agg(F.mode("otype").alias("maj_type"))
+        .agg(F.mode("otype", deterministic=True).alias("maj_type"))
     )
     base = base.join(maj, on=["video_id", "oid"]).drop("otype").withColumnRenamed(
         "maj_type", "otype"

@@ -18,6 +18,8 @@ holds tens to hundreds of constructs, so a partitioned grid equi-join
 The same index is the only way any stage tests points against road
 polygons: :func:`containing` (bbox pre-filter, then point-in-polygon)
 binds the query engine's ``contains`` and the Exit Frame Sampler's lanes.
+The EFS also computes its view hulls with :func:`hulls_pandas`, inside
+its own per-video pass.
 """
 from __future__ import annotations
 
@@ -32,10 +34,7 @@ from pyspark.sql import functions as F
 from repro.geo.camera import intrinsic_matrix, view_hull_points
 from repro.geo.polygon import as_poly_array, convex_hull, convex_intersects, points_in_polygon
 
-__all__ = ["ConstructIndex", "construct_index", "containing", "frame_view_hulls", "prune_frames"]
-
-HULL_SCHEMA = ("video_id string, frame_idx long, hull array<array<double>>, "
-               "hxmin double, hymin double, hxmax double, hymax double")
+__all__ = ["ConstructIndex", "construct_index", "containing", "prune_frames"]
 
 
 def hulls_pandas(pdf: pd.DataFrame, distance: float) -> pd.DataFrame:
@@ -60,17 +59,6 @@ def hulls_pandas(pdf: pd.DataFrame, distance: float) -> pd.DataFrame:
             "hymax": [p[:, 1].max() for p in pts],
         }
     )
-
-
-def frame_view_hulls(frames: DataFrame, distance: float) -> DataFrame:
-    """Viewable-area polygon (and its bbox) for every frame."""
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf):
-                yield hulls_pandas(pdf, distance)
-
-    return frames.mapInPandas(run, schema=HULL_SCHEMA)
 
 
 class ConstructIndex(NamedTuple):

@@ -8,11 +8,17 @@ depth is the object's true camera depth perturbed by ~5 % noise
 (simulating monocular-depth accuracy), and its 3D world location follows
 from Eq. 5 via the bbox bottom-center pixel.
 
-Runs as ``applyInPandas`` grouped by (video_id, frame_idx) so the depth
-map is computed once per frame regardless of the number of detections —
-the same cost structure as the real network.
+Runs as one narrow ``mapInPandas`` over the detections, with no
+grouping and no shuffle. Each Arrow chunk computes the depth map once per
+distinct (video_id, frame_idx) in it, regardless of the number of
+detections — the same cost structure as the real network — then locates
+all of the chunk's detections in one vectorized call. A frame whose
+detections straddle two chunks (a partition or Arrow batch boundary) is
+mapped once in each.
 """
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 import pandas as pd
@@ -92,10 +98,10 @@ def depth_points(pdf: pd.DataFrame, xp, yp, t, q, k) -> np.ndarray:
     return pixel_to_world(xp, yp, zc, t, q, k)
 
 
-def _estimate_frame(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Depth-estimate all detections of one frame."""
-    cam = pdf.iloc[0]
-    _ = depth_map(cam)  # the expensive whole-image pass (workload model)
+def _estimate_chunk(pdf: pd.DataFrame) -> pd.DataFrame:
+    """Depth-estimate all detections of one chunk of rows."""
+    for _, cam in pdf.drop_duplicates(["video_id", "frame_idx"]).iterrows():
+        depth_map(cam)  # the expensive whole-image pass (workload model)
     w = depth_points(pdf, *bbox_rays(pdf))
     out = pdf.copy()
     out["wx"], out["wy"], out["wz"] = w[:, 0], w[:, 1], np.maximum(w[:, 2], 0.0)
@@ -105,7 +111,10 @@ def _estimate_frame(pdf: pd.DataFrame) -> pd.DataFrame:
 
 def estimate_3d_depth(dets: DataFrame) -> DataFrame:
     """ML-based Loc3DEstm operator: one depth-map pass per frame."""
-    schema = with_loc3d_schema(dets.schema)
-    return dets.groupBy("video_id", "frame_idx").applyInPandas(
-        lambda pdf: _estimate_frame(pdf), schema=schema
-    )
+
+    def run(chunks: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in chunks:
+            if len(pdf):
+                yield _estimate_chunk(pdf)
+
+    return dets.mapInPandas(run, schema=with_loc3d_schema(dets.schema))

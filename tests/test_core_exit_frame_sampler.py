@@ -1,14 +1,16 @@
 """Tests for §6.4 Exit Frame Sampler."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from repro.core.exit_frame_sampler import MAX_SKIP, sample_frames, sample_frames_pandas
-from repro.core.road_visibility import construct_index
+from repro.core.road_visibility import construct_index, hulls_pandas
 from repro.geo.polygon import rect_polygon, ray_exit_distance
 from repro.world.agents import SPEED_LIMIT_MPS
 from repro.world.datasets import road_table
-from tests.helpers import road_of
+from tests.helpers import make_frames, road_of
 
 FPS = 12.0
 BIG_HULL = rect_polygon(-1000, -1000, 1000, 1000).tolist()
@@ -140,15 +142,38 @@ def test_shared_lane_edge_lowest_cid_decides(spark, cids, decides):
 
 
 def test_sample_frames_spark(spark, lanes):
-    dets = _dets(_car_rows(40))
-    dets["video_id"] = "v0"
-    hulls = _hulls(40)
-    hulls["video_id"] = "v0"
+    # Output: exactly the input rows on the frames sample_frames_pandas
+    # picks per video over the view hulls of that video's frames.
+    n, d = 40, 20.0
+    cams = {v: make_frames(n, video_id=v, pos=(0.0, -1.75)) for v in ("v0", "v1", "v2")}
+    dets = pd.concat(
+        [_dets(_car_rows(n)).assign(video_id=v) for v in ("v0", "v1")], ignore_index=True
+    )
+    # One NaN and one null score, both on a video's first (always sampled) frame.
+    score = [np.nan if i == 0 else None if i == n else 0.5 for i in range(len(dets))]
+    table = pa.Table.from_pandas(dets, preserve_index=False).append_column(
+        "score", pa.array(score, pa.float64(), from_pandas=False)
+    )
+    sdf = spark.createDataFrame(table)
     out = sample_frames(
-        spark.createDataFrame(dets),
-        spark.createDataFrame(hulls),
-        lanes,
-        fps=FPS,
-    ).toPandas()
-    assert list(out["frame_idx"]) == sample_frames_pandas(dets, hulls, lanes, fps=FPS)
-    assert (out["video_id"] == "v0").all()
+        sdf, spark.createDataFrame(pd.concat(cams.values())), lanes, distance=d, fps=FPS
+    )
+    got = out.toArrow().sort_by([("video_id", "ascending"), ("frame_idx", "ascending")])
+
+    picked = {
+        v: sample_frames_pandas(dets[dets["video_id"] == v], hulls_pandas(cams[v], d), lanes,
+                                fps=FPS)
+        for v in ("v0", "v1")
+    }
+    assert picked["v0"][1] < MAX_SKIP  # the hull's far edge cuts the skip
+    keep = np.array([f in picked[v] for v, f in zip(dets["video_id"], dets["frame_idx"])])
+    want = table.filter(pa.array(keep)).select(sdf.columns)
+    assert got.schema.names == sdf.columns and out.schema == sdf.schema
+    pd.testing.assert_frame_equal(got.to_pandas(), want.to_pandas(), check_dtype=False)
+    assert got["score"].is_null().to_pylist() == want["score"].is_null().to_pylist()
+    assert got["score"].null_count == 1 and pc.sum(pc.is_nan(got["score"])).as_py() == 1
+    # v2 has frames but no detections: nothing.
+    assert set(got["video_id"].to_pylist()) == {"v0", "v1"}
+    plan = out._jdf.queryExecution().executedPlan().toString()
+    assert "CoGroup" in plan and "Join" not in plan and "CartesianProduct" not in plan
+

@@ -62,11 +62,11 @@ def test_empty_chunk():
 
 
 def test_geometry_more_accurate_than_depth_for_ground_objects():
-    from repro.video.depth import _estimate_frame
+    from repro.video.depth import _estimate_chunk
 
     det = _dets([dict(oid=i, otype="car", x=15 + 7 * i, y=(i % 3) - 1) for i in range(5)])
     geo = geometry_pandas(det)
-    dep = _estimate_frame(det)
+    dep = _estimate_chunk(det)
     # Geometry is deterministic given the box; depth carries +-5 % noise.
     # Against the known bottom-center ground truth both are close, but
     # the geometric estimate of distance shows no noise scatter.

@@ -458,6 +458,24 @@ def test_movable_objects_majority_type(spark):
     assert (out["otype"] == "car").all()
 
 
+@pytest.mark.parametrize("pair", [("car", "truck"), ("bus", "car")])
+def test_movable_objects_type_tie_is_deterministic(spark, pair):
+    # One detection of each type: the lowest type name wins the tie, at
+    # any shuffle partition count and in either input order.
+    prev = spark.conf.get("spark.sql.shuffle.partitions")
+    votes = set()
+    try:
+        for partitions in ("1", "8"):
+            spark.conf.set("spark.sql.shuffle.partitions", partitions)
+            for types in (pair, pair[::-1]):
+                rows = [("v0", f, 4, t, float(f), 0.0) for f, t in enumerate(types)]
+                tracked = spark.createDataFrame(_tracked(rows)).repartition(2)
+                votes |= set(movable_objects(tracked, fps=FPS).toPandas()["otype"])
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", prev)
+    assert votes == {min(pair)}
+
+
 def test_movable_objects_drops_unassigned(spark):
     rows = [("v0", 0, -1, "car", 0.0, 0.0), ("v0", 0, 2, "car", 1.0, 1.0)]
     out = movable_objects(spark.createDataFrame(_tracked(rows)), fps=FPS).toPandas()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.road_visibility import (
     construct_index,
-    frame_view_hulls,
     hulls_pandas,
     prune_frames,
     visible_pandas,
@@ -43,13 +42,6 @@ def test_hull_respects_distance():
     h50 = hulls_pandas(frames, 50.0)
     assert h10.loc[0, "hymax"] == pytest.approx(10.0, abs=1e-6)
     assert h50.loc[0, "hymax"] == pytest.approx(50.0, abs=1e-6)
-
-
-def test_frame_view_hulls_spark(spark):
-    frames = spark.createDataFrame(make_frames(5, pos=(10.0, -1.75)))
-    hulls = frame_view_hulls(decode(frames), 50.0).toPandas()
-    assert len(hulls) == 5
-    assert set(hulls.columns) == {"video_id", "frame_idx", "hull", "hxmin", "hymin", "hxmax", "hymax"}
 
 
 def visible_types(spark, road, frames: pd.DataFrame, geo_types, distance: float) -> list[set]:
