@@ -1,8 +1,9 @@
-"""Shared helpers for spark-submit job entrypoints.
+"""Shared helpers for the two spark-submit entrypoints, ``run_all.py``
+(T2-T10) and ``run_query.py`` (T1).
 
 Jobs build their own session (they run standalone under spark-submit);
-tests and benchmarks use the conftest ``spark`` fixture instead and call
-the same run functions from ``repro.experiments``.
+tests use the conftest ``spark`` fixture instead and call the same table
+functions from ``repro.experiments`` and ``repro.experiments_compare``.
 """
 from __future__ import annotations
 

@@ -29,7 +29,7 @@ from repro.core.planner import ALL_OPTIMIZATIONS, Plan, plan_workflow
 from repro.core.predicates import And, Predicate, object_refs
 from repro.core.query_engine import compile_filter, movable_objects, query_engine_charge
 from repro.video.costmodel import C, CostReport
-from repro.world.datasets import Dataset, road_table
+from repro.world.datasets import CAMERA_SCHEMA, GT_SCHEMA, Dataset, local_table, road_table
 from repro.world.roadnetwork import RoadNetwork
 
 __all__ = ["GeospatialVideo", "World", "movable_objects_step"]
@@ -116,8 +116,9 @@ class World:
         cams = pd.concat([v.cameras for v in self._videos], ignore_index=True)
         gt = pd.concat([v.content for v in self._videos], ignore_index=True)
         assert self._road is not None, "add_geog_constructs() first"
-        sdf = self.spark.createDataFrame
-        return sdf(cams), sdf(gt), road_table(self.spark, self._road)
+        spark = self.spark
+        return (local_table(spark, cams, CAMERA_SCHEMA), local_table(spark, gt, GT_SCHEMA),
+                road_table(spark, self._road))
 
     def _observe(
         self, compose: Callable[[DataFrame], DataFrame]

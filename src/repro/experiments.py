@@ -1,9 +1,10 @@
 """Experiment harness for the §7 evaluation artifacts (T1-T10).
 
-Shared by ``jobs/*`` (spark-submit entrypoints) and ``benchmarks/*``
-(pytest-benchmark): runs the ablation setups of §7.2, the baseline
-comparisons of §7.1 and the Fig. 4c skip-distance sweep, and formats the
-paper-vs-measured tables recorded in EXPERIMENTS.md.
+Runs the ablation setups of §7.2 and formats the T7, T8 and T10 tables
+recorded in EXPERIMENTS.md; ``repro.experiments_compare`` holds the
+baseline comparisons of §7.1 and the Fig. 4c skip-distance sweep (T2-T6,
+T9). ``jobs/run_all.py`` calls every table function in one session; a
+caller who wants one table calls its function the same way.
 """
 from __future__ import annotations
 

@@ -27,7 +27,6 @@ __all__ = [
     "convex_intersects",
     "polygon_bbox",
     "rect_polygon",
-    "polygon_centroid",
     "ray_exit_distance",
     "as_poly_array",
 ]
@@ -58,12 +57,6 @@ def rect_polygon(xmin: float, ymin: float, xmax: float, ymax: float) -> np.ndarr
 def polygon_bbox(poly) -> tuple[float, float, float, float]:
     p = _as_poly(poly)
     return float(p[:, 0].min()), float(p[:, 1].min()), float(p[:, 0].max()), float(p[:, 1].max())
-
-
-def polygon_centroid(poly) -> tuple[float, float]:
-    """Vertex-mean centroid (adequate for our convex constructs)."""
-    p = _as_poly(poly)
-    return float(p[:, 0].mean()), float(p[:, 1].mean())
 
 
 def convex_hull(points) -> np.ndarray:

@@ -9,7 +9,8 @@
 
 Each returns a :class:`Dataset` bundling the road network and the
 ``cameras`` / ``gt`` pandas tables, with ``*_sdf`` helpers that convert
-to Spark DataFrames with explicit schemas.
+to Spark DataFrames with the explicit schemas defined here, so that an
+empty table keeps its column types.
 """
 from __future__ import annotations
 
@@ -18,20 +19,38 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.video.decoder import FRAME_COLS
 from repro.world.agents import simulate_car_path, simulate_objects
 from repro.world.roadnetwork import RoadNetwork, grid_road_network
 from repro.world.scenes import NUSC_INTRINSIC, camera_table, waypoint_path
 
-__all__ = ["Dataset", "nuscenes_lite", "jackson_lite", "skyquery_lite", "road_table"]
+__all__ = [
+    "Dataset", "nuscenes_lite", "jackson_lite", "skyquery_lite", "local_table", "road_table",
+    "CAMERA_SCHEMA", "GT_SCHEMA", "ROAD_SCHEMA",
+]
 
+# The input tables' schemas as DDL. The camera table holds the decoder's
+# frame columns: the two keys, then the camera's parameters.
+_KEY_TYPES = {"video_id": "string", "frame_idx": "long"}
+CAMERA_SCHEMA = ", ".join(f"{c} {_KEY_TYPES.get(c, 'double')}" for c in FRAME_COLS)
+GT_SCHEMA = ("video_id string, oid long, otype string, frame_idx long, ts double, "
+             "x double, y double, z double, heading double, speed double, "
+             "dim_l double, dim_w double, dim_h double")
 ROAD_SCHEMA = ("cid long, type string, poly array<array<double>>, heading double, "
                "xmin double, ymin double, xmax double, ymax double")
 
 
+def local_table(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFrame:
+    """``pdf`` as a Spark ``LocalRelation`` of the DDL ``schema``, its
+    columns taken by name: an empty table keeps its types, and collecting
+    it, as the construct index does with the road table, runs no Spark
+    job."""
+    return spark.createDataFrame(pdf[[f.split(" ", 1)[0] for f in schema.split(", ")]],
+                                 schema=schema)
+
+
 def road_table(spark: SparkSession, road: RoadNetwork) -> DataFrame:
-    """The road table as a Spark ``LocalRelation``: collecting it, as the
-    construct index does, runs no Spark job."""
-    return spark.createDataFrame(road.df, schema=ROAD_SCHEMA)
+    return local_table(spark, road.df, ROAD_SCHEMA)
 
 
 @dataclass
@@ -48,10 +67,10 @@ class Dataset:
         return road_table(spark, self.road)
 
     def cameras_sdf(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.cameras)
+        return local_table(spark, self.cameras, CAMERA_SCHEMA)
 
     def gt_sdf(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.gt)
+        return local_table(spark, self.gt, GT_SCHEMA)
 
     @property
     def n_frames(self) -> int:

@@ -62,20 +62,6 @@ class RoadNetwork:
     def lanes_out_of(self, node: tuple[int, int]) -> list[Lane]:
         return [l for l in self.lanes if l.from_node == node]
 
-    def lane_by_cid(self, cid: int) -> Lane:
-        for l in self.lanes:
-            if l.cid == cid:
-                return l
-        raise KeyError(cid)
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        return (
-            float(self.df["xmin"].min()),
-            float(self.df["ymin"].min()),
-            float(self.df["xmax"].max()),
-            float(self.df["ymax"].max()),
-        )
-
 
 def _construct(cid: int, ctype: str, poly: np.ndarray, heading: float | None) -> dict:
     xmin, ymin, xmax, ymax = polygon_bbox(poly)

@@ -4,7 +4,9 @@ per-layer tracer depends on), every charge counts its own operator's
 input or output, every plan that tracks charges the tracker by the
 per-frame counts of its output, each step's output reaches the next step
 with its schema and values intact, outputs stay readable after the run,
-and no code caches a DataFrame."""
+no code caches a DataFrame or evicts a cache, and degenerate worlds (no
+objects, no frames, no construct of the queried type) give an empty
+answer."""
 import ast
 import dataclasses
 import math
@@ -13,21 +15,19 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
+import pandas as pd
 import pytest
-from pyspark import StorageLevel
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.baselines.otif import run_otif
 from repro.baselines.skyquery import run_skyquery, run_spatialyze_with_skyquery_models
-from repro.baselines.viva import run_viva
 from repro.core import pipeline
 from repro.core.queries import query
 from repro.core.sflow import World
-from repro.experiments import SETUPS, run_setup
-from repro.experiments_compare import devkit_comparison, eva_comparison, viva_comparison
+from repro.experiments import SETUPS
+from repro.experiments_compare import devkit_comparison, viva_comparison
 from repro.video.costmodel import tracker_frame_cost
-from repro.video.decoder import decode
 from repro.world.datasets import nuscenes_lite, skyquery_lite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,12 +56,9 @@ def ds():
 @pytest.fixture(scope="module")
 def q2_worlds(spark, ds):
     """Q2 under SB and S6 through ``World.save_videos()``, with each layer
-    name in ``repro.core.pipeline`` replaced by a call-recording wrapper,
-    and the persisted RDDs counted before and after each workflow, in
-    whatever cache state earlier tests left."""
+    name in ``repro.core.pipeline`` replaced by a call-recording wrapper."""
     calls: dict[str, list[tuple[str, object]]] = {}
-    worlds, cached = {}, {}
-    persistent = spark.sparkContext._jsc.sc().getPersistentRDDs
+    worlds = {}
 
     def recording(name, fn):
         def wrapped(*args, **kw):
@@ -77,27 +74,18 @@ def q2_worlds(spark, ds):
             calls[current] = []
             w = World.from_dataset(spark, ds, optimizations=SETUPS[current])
             w.filter(query("Q2"))
-            before = persistent().size()
             w.save_videos()
-            cached[current] = (before, persistent().size())
             worlds[current] = w
-    return worlds, calls, cached
+    return worlds, calls
 
 
 @pytest.mark.parametrize("setup", ["SB", "S6"])
 def test_every_operator_calls_its_patched_layer(q2_worlds, setup):
-    worlds, calls, _ = q2_worlds
+    worlds, calls = q2_worlds
     ops = worlds[setup].plan.operators
     assert Counter(name for name, _ in calls[setup]) == Counter(_layer(op) for op in ops)
     # The tracer counts each layer's input from the first positional argument.
     assert all(isinstance(first, DataFrame) for _, first in calls[setup])
-
-
-@pytest.mark.parametrize("setup", ["SB", "S6"])
-def test_save_videos_releases_what_it_persisted(q2_worlds, setup):
-    _, _, cached = q2_worlds
-    before, after = cached[setup]
-    assert after == before
 
 
 def _frames(pdf) -> int:
@@ -109,7 +97,7 @@ def test_every_charge_counts_its_operator(q2_worlds, setup):
     """Each cost count equals a pandas count of the charged operator's
     input or output, read back from ``vp.outputs`` — the video
     processor's operators and the Movable Objects step alike."""
-    worlds, _, _ = q2_worlds
+    worlds, _ = q2_worlds
     vp = worlds[setup].vp_result
     out = {name: df.toPandas() for name, df in vp.outputs.items()}
     want = {"decode": _frames(out["decode"]), "track": _frames(out["track_strongsort"])}
@@ -144,7 +132,7 @@ def _assert_tracker_charge(tracked: DataFrame, cost, variant: str) -> None:
 
 @pytest.mark.parametrize("setup", ["SB", "S6"])
 def test_spatialyze_tracker_charge(q2_worlds, setup):
-    worlds, _, _ = q2_worlds
+    worlds, _ = q2_worlds
     vp = worlds[setup].vp_result
     (name,) = [op for op in worlds[setup].plan.operators if op.startswith("track_")]
     _assert_tracker_charge(vp.outputs[name], vp.cost, name.removeprefix("track_"))
@@ -172,52 +160,29 @@ def test_spatialyze_with_skyquery_models_tracker_charge(sky):
     _assert_tracker_charge(tracked, cost, "sort")
 
 
-def _world(spark, ds, observe: str):
-    w = World.from_dataset(spark, ds)
+def _world(spark, ds, setup: str = "S6") -> tuple[World, pd.DataFrame]:
+    """Q2 on ``ds`` under ``setup``, observed with ``save_videos()``."""
+    w = World.from_dataset(spark, ds, optimizations=SETUPS[setup])
     w.filter(query("Q2"))
-    getattr(w, observe)()
-
-
-# Every entry point that runs the executor, on small inputs.
-RUNS = {
-    "World.save_videos": lambda spark, ds, sky: _world(spark, ds, "save_videos"),
-    "World.get_objects": lambda spark, ds, sky: _world(spark, ds, "get_objects"),
-    "run_setup_SB": lambda spark, ds, sky: run_setup(spark, ds, "Q2", "SB"),
-    "run_setup_S6": lambda spark, ds, sky: run_setup(spark, ds, "Q2", "S6"),
-    "run_otif": lambda spark, ds, sky: run_otif(ds.cameras_sdf(spark), ds.gt_sdf(spark)),
-    "run_skyquery": lambda spark, ds, sky: run_skyquery(*sky[:2]),
-    "run_spatialyze_with_skyquery_models":
-        lambda spark, ds, sky: run_spatialyze_with_skyquery_models(*sky),
-    "run_viva": lambda spark, ds, sky: run_viva(
-        ds.cameras_sdf(spark), ds.gt_sdf(spark), ds.road_sdf(spark), query("Q9"), fps=ds.fps
-    ),
-    "devkit_comparison": lambda spark, ds, sky: devkit_comparison(spark, ds, queries=("Q2",)),
-    "eva_comparison": lambda spark, ds, sky: eva_comparison(spark, ds),
-}
-
-
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_every_run_releases_what_it_cached(spark, ds, sky, name):
-    persistent = spark.sparkContext._jsc.sc().getPersistentRDDs
-    before = persistent().size()
-    RUNS[name](spark, ds, sky)
-    assert persistent().size() == before
+    manifest, _ = w.save_videos()
+    return w, manifest
 
 
 # Scope entries each workflow makes, all at nesting depth 0: a Spatialyze
 # workflow runs its video processor and its Movable Objects step in one
 # scope; viva_comparison runs VIVA's plan first, in a scope of its own.
 SCOPES = {
-    "World.save_videos": (RUNS["World.save_videos"], [0]),
-    "viva_comparison": (lambda spark, ds, sky: viva_comparison(spark, ds), [0, 0]),
-    "devkit_comparison": (RUNS["devkit_comparison"], [0]),
+    "World.save_videos": (_world, [0]),
+    "viva_comparison": (viva_comparison, [0, 0]),
+    "devkit_comparison": (lambda spark, ds: devkit_comparison(spark, ds, queries=("Q2",)), [0]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCOPES))
 def test_each_workflow_is_one_executor_scope(spark, ds, name):
     """``execute`` entries, counted wherever it is imported, with the
-    number of scopes already open at each entry."""
+    number of scopes already open at each entry; the workflow leaves the
+    persisted RDDs as it found them, whatever earlier tests left."""
     original, entries, depth = pipeline.execute, [], 0
 
     @contextmanager
@@ -232,39 +197,30 @@ def test_each_workflow_is_one_executor_scope(spark, ds, name):
             depth -= 1
 
     run, want = SCOPES[name]
+    persistent = spark.sparkContext._jsc.sc().getPersistentRDDs
+    before = persistent().size()
     with pytest.MonkeyPatch.context() as mp:
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("repro.")
                     and getattr(module, "execute", None) is original):
                 mp.setattr(module, "execute", counting)
-        run(spark, ds, None)
+        run(spark, ds)
     assert entries == want
-
-
-def test_save_videos_keeps_a_cache_it_did_not_make(spark, ds):
-    """A cache entry an earlier caller made for the same frames survives
-    a workflow, which releases nothing."""
-    persistent = spark.sparkContext._jsc.sc().getPersistentRDDs
-    mine = decode(ds.cameras_sdf(spark)).persist()
-    try:
-        mine.count()
-        before = persistent().size()
-        _world(spark, ds, "save_videos")
-        assert mine.storageLevel != StorageLevel.NONE
-        assert persistent().size() == before
-    finally:
-        mine.unpersist()
+    assert persistent().size() == before
 
 
 def test_only_the_executor_caches():
     """No code in ``src/repro`` or ``jobs``, the executor in
     ``core/pipeline.py`` included, persists, caches or unpersists a
-    DataFrame: the executor hands each step's output on as local rows."""
+    DataFrame, or caches, uncaches or clears a catalog table: the executor
+    hands each step's output on as local rows, and a workflow never evicts
+    a cache its caller made."""
     calls = []
     for path in sorted([*(ROOT / "src" / "repro").rglob("*.py"), *(ROOT / "jobs").rglob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in {"persist", "unpersist", "cache"}):
+                    and node.func.attr in {"persist", "unpersist", "cache",
+                                               "clearCache", "cacheTable", "uncacheTable"}):
                 calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert calls == []
 
@@ -305,7 +261,7 @@ def test_outputs_read_after_the_scope_do_not_rerun_the_plan(spark, q2_worlds):
     """Collecting each operator's output after ``save_videos()`` returned
     runs at most one Spark job: it reads the rows the executor collected
     instead of running the plan again from ``decode``."""
-    worlds, _, _ = q2_worlds
+    worlds, _ = q2_worlds
     sc = spark.sparkContext
     prev = sc.getLocalProperty("spark.jobGroup.id")
     try:
@@ -319,19 +275,55 @@ def test_outputs_read_after_the_scope_do_not_rerun_the_plan(spark, q2_worlds):
         sc.setLocalProperty("spark.jobGroup.id", prev)
 
 
-@pytest.mark.parametrize("setup", ["SB", "S6"])
-def test_a_world_with_no_detections(spark, ds, setup):
-    """Every object is out of camera range: the workflow returns an empty
-    manifest, the detector is still charged once per frame it is given,
-    and every later operator counts nothing."""
-    far = dataclasses.replace(ds, gt=ds.gt.assign(x=ds.gt["x"] + 1e5))
-    w = World.from_dataset(spark, far, optimizations=SETUPS[setup])
-    w.filter(query("Q2"))
-    manifest, _ = w.save_videos()
-    assert len(manifest) == 0
+def _assert_only_the_detector_ran(w: World) -> None:
+    """The detector was charged once per frame it was given, and every
+    later operator counted nothing."""
     vp = w.vp_result
     given = vp.outputs["rvp" if "rvp" in vp.outputs else "decode"]
     n_frames = given.select("video_id", "frame_idx").distinct().count()
     assert n_frames > 0 and vp.cost.count("yolo") == n_frames
     later = {"otp", "geom3d", "depth", "efs", "track", "query_engine"}
     assert {op: vp.cost.count(op) for op in later} == dict.fromkeys(later, 0)
+
+
+@pytest.mark.parametrize("setup", ["SB", "S6"])
+def test_a_world_with_no_detections(spark, ds, setup):
+    """Every object is out of camera range: the workflow returns an empty
+    manifest, and only the detector does any work."""
+    far = dataclasses.replace(ds, gt=ds.gt.assign(x=ds.gt["x"] + 1e5))
+    w, manifest = _world(spark, far, setup)
+    assert len(manifest) == 0
+    _assert_only_the_detector_ran(w)
+
+
+@pytest.mark.parametrize("setup", ["SB", "S6"])
+def test_a_world_with_no_objects(spark, ds, setup):
+    """An empty ground-truth table, a video with nothing in it, keeps its
+    schema: the workflow returns an empty manifest, and only the detector
+    does any work."""
+    w, manifest = _world(spark, dataclasses.replace(ds, gt=ds.gt.iloc[:0]), setup)
+    assert len(manifest) == 0
+    _assert_only_the_detector_ran(w)
+
+
+@pytest.mark.parametrize("setup", ["SB", "S6"])
+def test_a_world_with_no_frames(spark, ds, setup):
+    """An empty camera table keeps its schema: the workflow returns an
+    empty manifest, and every operator counts nothing."""
+    w, manifest = _world(spark, dataclasses.replace(ds, cameras=ds.cameras.iloc[:0]), setup)
+    assert len(manifest) == 0
+    cost = w.vp_result.cost
+    assert cost.entries and all(cost.count(op) == 0 for op in cost.entries)
+
+
+@pytest.mark.parametrize("setup", ["SB", "S6"])
+def test_a_world_with_no_construct_of_the_queried_type(spark, ds, setup):
+    """Q2 asks for cars in an intersection on a road with none: the
+    workflow returns an empty manifest. Under S6 the Road Visibility
+    Pruner sees no intersection in any frame, so the detector gets none."""
+    road = dataclasses.replace(ds.road, df=ds.road.df[ds.road.df["type"] != "intersection"])
+    w, manifest = _world(spark, dataclasses.replace(ds, road=road), setup)
+    assert len(manifest) == 0
+    cost = w.vp_result.cost
+    assert cost.count("decode") == ds.n_frames
+    assert cost.count("yolo") == (0 if setup == "S6" else ds.n_frames)

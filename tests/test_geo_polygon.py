@@ -10,7 +10,6 @@ from repro.geo.polygon import (
     point_in_polygon,
     points_in_polygon,
     polygon_bbox,
-    polygon_centroid,
     rect_polygon,
 )
 
@@ -24,10 +23,6 @@ def test_rect_polygon_vertices():
 
 def test_polygon_bbox():
     assert polygon_bbox(TRI) == (0.0, 0.0, 4.0, 4.0)
-
-
-def test_polygon_centroid():
-    assert polygon_centroid(UNIT) == (0.5, 0.5)
 
 
 @pytest.mark.parametrize(

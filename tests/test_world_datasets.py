@@ -4,7 +4,14 @@ import pandas as pd
 import pytest
 
 from repro.geo.quaternion import camera_quat_to_heading, quat_to_matrix
-from repro.world.datasets import jackson_lite, nuscenes_lite, skyquery_lite
+from repro.world.datasets import (
+    CAMERA_SCHEMA,
+    GT_SCHEMA,
+    jackson_lite,
+    local_table,
+    nuscenes_lite,
+    skyquery_lite,
+)
 from repro.world.scenes import NUSC_INTRINSIC, camera_table, waypoint_path
 
 CAM_COLS = [
@@ -113,3 +120,27 @@ def test_dataset_spark_conversion(spark):
     assert gt.count() == len(d.gt)
     first = road.filter(road.type == "lane").first()
     assert len(first["poly"]) == 4 and len(first["poly"][0]) == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: nuscenes_lite(1, seed=0, n_frames=12),
+        lambda: jackson_lite(1, seed=0, n_frames=12),
+        lambda: skyquery_lite(seed=0, n_frames=12),
+    ],
+    ids=["nuscenes_lite", "jackson_lite", "skyquery_lite"],
+)
+def test_input_schemas_equal_the_inferred_ones(spark, make):
+    """The explicit camera and ground-truth schemas are the ones Spark
+    infers from each dataset's pandas tables, with the same rows; the
+    columns are taken by name, and an empty table keeps the schema."""
+    d = make()
+    for pdf, sdf, schema in ((d.cameras, d.cameras_sdf(spark), CAMERA_SCHEMA),
+                             (d.gt, d.gt_sdf(spark), GT_SCHEMA)):
+        inferred = spark.createDataFrame(pdf)
+        assert sdf.schema == inferred.schema
+        assert sdf.collect() == inferred.collect()
+        assert local_table(spark, pdf[pdf.columns[::-1]], schema).collect() == sdf.collect()
+        empty = local_table(spark, pdf.iloc[:0], schema)
+        assert empty.schema == inferred.schema and empty.count() == 0

@@ -102,15 +102,9 @@ def test_bike_lane_adjacent_to_lane(road):
         assert len(touching) > 0
 
 
-def test_lane_by_cid(road):
-    lane = road.lanes[0]
-    assert road.lane_by_cid(lane.cid) is lane
-    with pytest.raises(KeyError):
-        road.lane_by_cid(-1)
-
-
 def test_bounds_cover_grid(road):
-    xmin, ymin, xmax, ymax = road.bounds()
+    xmin, ymin = road.df["xmin"].min(), road.df["ymin"].min()
+    xmax, ymax = road.df["xmax"].max(), road.df["ymax"].max()
     assert xmin <= -LANE_WIDTH and xmax >= 120 + LANE_WIDTH
     assert ymin <= -LANE_WIDTH and ymax >= 120 + LANE_WIDTH
 
