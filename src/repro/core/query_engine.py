@@ -5,7 +5,9 @@ tables:
 
 * ``movable_objects`` — one row per (video, track, frame) with the 3D
   location plus track-derived columns (heading, speed, turn_left,
-  stopped) computed with Catalyst window functions;
+  stopped) computed with Catalyst window functions that share one
+  (video, track) partitioning; a tracker-less plan's one-row tracks get
+  constant track-derived columns from one narrow select;
 * the per-frame ``cameras`` table;
 * the ``road`` Geographic Constructs table, read through the shared
   construct index (``road_visibility.construct_index``) in place of
@@ -89,93 +91,94 @@ def _circ_diff(a: Column, b: Column) -> Column:
     return F.least(d, 360.0 - d)
 
 
-def movable_objects(tracked: DataFrame, *, fps: float) -> DataFrame:
-    """Movable Objects table (§4.1.3) from the video processor's output.
+def _motion(dx: Column, dy: Column, dt: Column) -> tuple[Column, Column]:
+    """Heading (degrees, null when not moving) and speed (0 without a
+    positive time step) of a displacement (dx, dy) over dt seconds."""
+    dist = F.sqrt(dx * dx + dy * dy)
+    heading = F.when(dist > 1e-3, (F.degrees(F.atan2(dy, dx)) + 360.0) % 360.0)
+    return heading, F.when(dt > 0, dist / dt).otherwise(F.lit(0.0))
 
-    Adds per-track derived columns: majority-vote type, motion heading,
-    speed, and the windowed ``turn_left`` / ``stopped`` flags. All via
-    Catalyst window/aggregate functions over the (video, track) key.
-    A plan without a 3D stage leaves the location null; without a
-    tracker, each detection is its own Movable Object.
+
+def _turn_left(ccw: Column) -> Column:
+    return F.coalesce((ccw > TURN_MIN_DEG) & (ccw < TURN_MAX_DEG), F.lit(False))
+
+
+def _stopped(mean_speed: Column) -> Column:
+    return F.coalesce(mean_speed < STOP_SPEED_MPS, F.lit(False))
+
+
+def movable_objects(tracked: DataFrame, *, fps: float) -> DataFrame:
+    """Movable Objects table (§4.1.3) from the video processor's output:
+    video_id, oid, frame_idx, ts, x, y, z, otype, heading, speed,
+    turn_left, stopped. A plan without a 3D stage leaves the location null.
+
+    With a tracker, each track is a Movable Object: its majority-vote
+    type, motion heading, speed and the windowed ``turn_left`` /
+    ``stopped`` flags are Catalyst window functions over the one
+    (video, track) partitioning, so the step shuffles once. Without a
+    tracker, each detection is a one-row track. It has no neighbouring
+    sample, so the same formulas give it constant trajectory columns
+    (heading null, speed 0, turn_left false, stopped true), in one
+    narrow select.
     """
-    if "wx" not in tracked.columns:
-        unknown = F.lit(None).cast("double")
-        tracked = tracked.withColumns({"wx": unknown, "wy": unknown, "wz": unknown})
+    unknown = F.lit(None).cast("double")
+    if "wx" in tracked.columns:
+        location = [F.col(f"w{c}").alias(c) for c in "xyz"]
+    else:
+        location = [unknown.alias(c) for c in "xyz"]
     if "track_id" not in tracked.columns:
-        tracked = tracked.withColumn("track_id", F.col("det_id"))
-    base = tracked.filter(F.col("track_id") >= 0).select(
-        "video_id",
-        "frame_idx",
-        "ts",
-        F.col("track_id").alias("oid"),
-        "otype",
-        F.col("wx").alias("x"),
-        F.col("wy").alias("y"),
-        F.col("wz").alias("z"),
+        heading, speed = _motion(unknown, unknown, unknown)
+        return tracked.select(
+            "video_id", F.col("det_id").alias("oid"), "frame_idx", "ts", *location, "otype",
+            heading.alias("heading"), speed.alias("speed"),
+            _turn_left(unknown).alias("turn_left"), _stopped(speed).alias("stopped"),
+        )
+    by_track = Window.partitionBy("video_id", "oid")
+    by_frame = by_track.orderBy("frame_idx")
+    # Range windows over time need an integral order key: milliseconds.
+    by_time = by_track.orderBy("ts_ms")
+    objects = tracked.filter(F.col("track_id") >= 0).select(
+        "video_id", F.col("track_id").alias("oid"), "frame_idx", "ts", *location, "otype"
     )
-    # On a tie the lowest type name wins, whatever the row order.
-    maj = (
-        base.groupBy("video_id", "oid")
-        .agg(F.mode("otype", deterministic=True).alias("maj_type"))
-    )
-    base = base.join(maj, on=["video_id", "oid"]).drop("otype").withColumnRenamed(
-        "maj_type", "otype"
-    )
+
     # Motion over a 3-sample baseline when available (smooths detector
     # jitter on the estimated locations), falling back to adjacent
-    # samples for short tracks. Each (dx, dy, dt) triple comes from the
-    # SAME baseline so speeds stay consistent.
-    w = Window.partitionBy("video_id", "oid").orderBy("frame_idx")
-    K = 3
-    cases = []
-    for kind, k in (("lead", K), ("lag", K), ("lead", 1), ("lag", 1)):
-        fn = F.lead if kind == "lead" else F.lag
-        sign = 1.0 if kind == "lead" else -1.0
-        cases.append(
-            (
-                fn("x", k).over(w).isNotNull(),
-                sign * (fn("x", k).over(w) - F.col("x")),
-                sign * (fn("y", k).over(w) - F.col("y")),
-                sign * (fn("ts", k).over(w) - F.col("ts")),
-            )
-        )
-    dx = dy = dt = None
-    for cond, cdx, cdy, cdt in reversed(cases):
-        dx = cdx if dx is None else F.when(cond, cdx).otherwise(dx)
-        dy = cdy if dy is None else F.when(cond, cdy).otherwise(dy)
-        dt = cdt if dt is None else F.when(cond, cdt).otherwise(dt)
-    moving = F.sqrt(dx * dx + dy * dy) > 1e-3
-    base = base.withColumn(
-        "heading",
-        F.when(moving, (F.degrees(F.atan2(dy, dx)) + 360.0) % 360.0),
-    ).withColumn(
-        "speed",
-        F.when(dt > 0, F.sqrt(dx * dx + dy * dy) / dt).otherwise(F.lit(0.0)),
-    )
-    # Range windows over time need an integral order key: milliseconds.
+    # samples for short tracks: the first of 3 ahead, 3 behind, 1 ahead
+    # and 1 behind whose x is known. Each (dx, dy, dt) triple comes from
+    # the SAME baseline so speeds stay consistent.
+    def shifted(c: str, k: int) -> Column:
+        return (F.lead(c, k) if k > 0 else F.lag(c, -k)).over(by_frame)
+
+    def delta(c: str) -> Column:
+        d = None
+        for k in (-1, 1, -3, 3):  # from the last fallback up
+            dk = (1.0 if k > 0 else -1.0) * (shifted(c, k) - F.col(c))
+            d = dk if d is None else F.when(shifted("x", k).isNotNull(), dk).otherwise(d)
+        return d
+
+    objects = objects.withColumns({
+        # On a tie the lowest type name wins, whatever the row order.
+        "otype": F.mode("otype", deterministic=True).over(by_track),
+        "ts_ms": (F.col("ts") * 1000.0).cast("long"),
+        "dx": delta("x"), "dy": delta("y"), "dt": delta("ts"),
+    })
+    heading, speed = _motion(F.col("dx"), F.col("dy"), F.col("dt"))
+    objects = objects.withColumns({"heading": heading, "speed": speed})
     # turn_left is centered: the heading ~1.25 s ahead minus the heading
     # ~1.25 s behind turned CCW by 30-150 deg — true *during* the turn
     # (a leading-only window fires before the car reaches the turn).
-    base = base.withColumn("ts_ms", (F.col("ts") * 1000.0).cast("long"))
     half = int(TURN_WINDOW_S * 1000 / 2)
-    w_past = Window.partitionBy("video_id", "oid").orderBy("ts_ms").rangeBetween(-half, 0)
-    w_future = Window.partitionBy("video_id", "oid").orderBy("ts_ms").rangeBetween(0, half)
-    past_heading = F.first("heading", ignorenulls=True).over(w_past)
-    future_heading = F.last("heading", ignorenulls=True).over(w_future)
-    ccw = ((future_heading - past_heading) + 540.0) % 360.0 - 180.0
-    base = base.withColumn(
-        "turn_left", F.coalesce((ccw > TURN_MIN_DEG) & (ccw < TURN_MAX_DEG), F.lit(False))
+    past_heading = F.first("heading", ignorenulls=True).over(by_time.rangeBetween(-half, 0))
+    future_heading = F.last("heading", ignorenulls=True).over(by_time.rangeBetween(0, half))
+    stop = int(STOP_WINDOW_S * 1000)
+    objects = objects.withColumns({
+        "ccw": ((future_heading - past_heading) + 540.0) % 360.0 - 180.0,
+        "stopped": _stopped(F.avg("speed").over(by_time.rangeBetween(-stop, stop))),
+    })
+    return objects.select(
+        "video_id", "oid", "frame_idx", "ts", "x", "y", "z", "otype", "heading", "speed",
+        _turn_left(F.col("ccw")).alias("turn_left"), "stopped",
     )
-    ws = (
-        Window.partitionBy("video_id", "oid")
-        .orderBy("ts_ms")
-        .rangeBetween(-int(STOP_WINDOW_S * 1000), int(STOP_WINDOW_S * 1000))
-    )
-    base = base.withColumn(
-        "stopped",
-        F.coalesce(F.avg("speed").over(ws) < STOP_SPEED_MPS, F.lit(False)),
-    )
-    return base.drop("ts_ms")
 
 
 def query_engine_charge(k: int) -> Charge:

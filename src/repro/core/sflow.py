@@ -130,7 +130,7 @@ class World:
         cost = CostReport()
         # ① Data Integrator: road tables + frame-by-frame video x camera join.
         n_constructs = len(self._road.df)
-        n_frames = len(pd.concat([v.cameras for v in self._videos]))
+        n_frames = sum(len(v.cameras) for v in self._videos)
         cost.add("integrate", n_constructs + n_frames,
                  n_constructs * C.INTEGRATE_CONSTRUCT + n_frames * C.INTEGRATE_FRAME)
         # ② Video Processor, then ③ the Movable Objects Query Engine, one plan.

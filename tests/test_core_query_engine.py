@@ -12,13 +12,18 @@ import math
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.core import predicates as P
+from repro.core import query_engine, sflow
 from repro.core.queries import query
 from repro.core.query_engine import combination_count, compile_filter, movable_objects
+from repro.core.sflow import World
+from repro.experiments import SETUPS
 from repro.geo.polygon import points_in_polygon, polygon_bbox
 from repro.oracle import assert_equivalent
-from repro.world.datasets import road_table
+from repro.world.datasets import nuscenes_lite, road_table
 from repro.world.roadnetwork import grid_road_network
 from tests.helpers import make_frames, road_of
 
@@ -480,6 +485,154 @@ def test_movable_objects_drops_unassigned(spark):
     rows = [("v0", 0, -1, "car", 0.0, 0.0), ("v0", 0, 2, "car", 1.0, 1.0)]
     out = movable_objects(spark.createDataFrame(_tracked(rows)), fps=FPS).toPandas()
     assert len(out) == 1 and out.iloc[0]["oid"] == 2
+
+
+DETECTIONS = "video_id string, frame_idx long, ts double, det_id long, otype string, " \
+    "wx double, wy double, wz double"
+
+
+@pytest.fixture(scope="module")
+def detections(spark):
+    """Located detections as a tracker-less plan hands them on: the two
+    videos share det_id 1_000_000; one wx is NaN and one is null."""
+    rows = [
+        ("v0", 0, 0.0, 1_000_000, "car", 1.0, 2.0, 0.0),
+        ("v0", 0, 0.0, 2_000_000, "truck", float("nan"), 3.0, 0.0),
+        ("v0", 1, 1 / FPS, 1_000_001, "car", None, 2.5, 0.0),
+        ("v1", 0, 0.0, 1_000_000, "person", 4.0, -1.0, 0.5),
+        ("v1", 2, 2 / FPS, 3_000_002, "car", -2.5, 7.0, 0.0),
+    ]
+    return spark.createDataFrame(rows, DETECTIONS)
+
+
+@pytest.fixture(scope="module")
+def tracks(spark):
+    """Straight tracks, some standing still, with NaN locations
+    at frame 5, type votes that can tie and two videos sharing track ids;
+    ``det_id`` makes each row a detection too."""
+    rng = np.random.default_rng(7)
+    rows = []
+    for vid in ("v0", "v1"):
+        for tid in range(6):
+            n = int(rng.integers(1, 30))
+            x0, y0, vx, vy = rng.normal(0, 10, 4) * [1, 1, tid % 3, (tid + 1) % 2]
+            for f in np.sort(rng.choice(60, n, replace=False)).tolist():
+                x = float(x0 + vx * f / FPS) if f != 5 else float("nan")
+                rows.append((vid, f, f / FPS, (tid + 1) * 1_000_000 + f, tid,
+                             ["car", "truck"][f % 2], x, float(y0 + vy * f / FPS), 0.0))
+    return spark.createDataFrame(rows, DETECTIONS.replace("otype", "track_id long, otype"))
+
+
+def _arrow(df: DataFrame) -> tuple:
+    """``df``'s Arrow schema and its rows in key order, NaN made
+    comparable and kept apart from null."""
+    t = df.toArrow().sort_by([(c, "ascending") for c in ("video_id", "oid", "frame_idx")])
+    rows = [tuple("NaN" if isinstance(v, float) and math.isnan(v) else v for v in r.values())
+            for r in t.to_pylist()]
+    return t.schema, rows
+
+
+def _one_row_tracks(dets: DataFrame) -> DataFrame:
+    return dets.withColumn("track_id", F.col("det_id"))
+
+
+@pytest.mark.parametrize("located", [True, False], ids=["3d", "no-3d"])
+def test_an_untracked_detection_is_a_one_row_track(detections, located):
+    """Without a tracker each detection gets exactly what the window plan
+    gives a one-row track: same schema, same values, NaN and null kept."""
+    dets = detections if located else detections.drop("wx", "wy", "wz")
+    got = movable_objects(dets, fps=FPS)
+    assert _arrow(got) == _arrow(movable_objects(_one_row_tracks(dets), fps=FPS))
+    out = got.toPandas()
+    assert len(out) == 5 and out["heading"].isna().all() and (out["speed"] == 0.0).all()
+    assert not out["turn_left"].any() and out["stopped"].all()
+
+
+@pytest.fixture(scope="module")
+def observed(spark):
+    """Workflows observed with ``save_videos()``, each with the number of
+    Spark jobs its Movable Objects step ran: the step's jobs run under a
+    job group of their own, from the call to ``movable_objects`` until
+    the query engine's ``compile_filter``."""
+    ds = nuscenes_lite(2, seed=0, n_frames=24)
+    sc = spark.sparkContext
+    prev = sc.getLocalProperty("spark.jobGroup.id")
+
+    def in_group(gid, fn):
+        def wrapped(*args, **kw):
+            sc.setJobGroup(gid, gid)
+            return fn(*args, **kw)
+
+        return wrapped
+
+    worlds = {}
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for q, setup in [("Q7", "SB"), ("Q7", "S6"), ("Q5", "SB"), ("Q5", "S6"), ("Q3", "S6")]:
+                gid = f"movable-objects/{q}/{setup}"
+                mp.setattr(sflow, "movable_objects", in_group(gid, query_engine.movable_objects))
+                mp.setattr(sflow, "compile_filter", in_group(f"{gid}/after",
+                                                             query_engine.compile_filter))
+                w = World.from_dataset(spark, ds, optimizations=SETUPS[setup])
+                w.filter(query(q))
+                w.save_videos()
+                worlds[q, setup] = w, len(sc.statusTracker().getJobIdsForGroup(gid))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", prev)
+    return worlds
+
+
+@pytest.mark.parametrize("q, setup", [("Q7", "SB"), ("Q7", "S6"), ("Q5", "SB"), ("Q5", "S6")])
+def test_executor_detections_are_one_row_tracks(observed, q, setup):
+    w, _ = observed[q, setup]
+    dets = w.vp_result.outputs[w.plan.operators[-1]]
+    assert "track_id" not in dets.columns and dets.count() > 0
+    got = movable_objects(dets, fps=FPS)
+    assert _arrow(got) == _arrow(movable_objects(_one_row_tracks(dets), fps=FPS))
+
+
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "untracked"])
+def test_movable_objects_do_not_depend_on_partitioning(spark, tracks, tracked):
+    source = tracks if tracked else tracks.drop("track_id")
+    prev = spark.conf.get("spark.sql.shuffle.partitions")
+    got = []
+    try:
+        for partitions in ("1", "8", "64"):
+            spark.conf.set("spark.sql.shuffle.partitions", partitions)
+            for n in (1, 8):
+                got.append(_arrow(movable_objects(source.repartition(n), fps=FPS)))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", prev)
+    assert len(got[0][1]) == tracks.count()
+    assert all(g == got[0] for g in got[1:])
+
+
+def _executed_plan(df: DataFrame) -> str:
+    """The physical plan ``df`` ran: under adaptive execution, the final one."""
+    df.collect()
+    plan = df._jdf.queryExecution().executedPlan()
+    if plan.nodeName() == "AdaptiveSparkPlan":
+        plan = plan.executedPlan()
+    return plan.toString()
+
+
+def test_untracked_movable_objects_is_one_narrow_select(detections):
+    plan = _executed_plan(movable_objects(detections, fps=FPS))
+    assert "Exchange" not in plan and "Window" not in plan
+
+
+def test_tracked_movable_objects_shuffle_once(tracks):
+    plan = _executed_plan(movable_objects(tracks, fps=FPS))
+    assert plan.count("Exchange") == 1 and "Join" not in plan
+
+
+@pytest.mark.parametrize("q, setup, most", [("Q7", "SB", 1), ("Q3", "S6", 2)])
+def test_movable_objects_step_jobs(observed, q, setup, most):
+    """In ``save_videos()`` the step costs one job without a tracker and
+    at most two with one: its shuffle's map stage and the collect."""
+    w, jobs = observed[q, setup]
+    assert any(op.startswith("track_") for op in w.plan.operators) == (q == "Q3")
+    assert 1 <= jobs <= most
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
