@@ -55,19 +55,19 @@ class EvaSession:
                 self._n_dets = rows.num_rows
 
             depth = replace(LOC3D_DEPTH, charge=charge_depth)
-            with execute([DECODE, detector(self.gt), depth], self.cameras) as vp:
-                self._cache = vp
+            self._cache = execute([DECODE, detector(self.gt), depth], self.cameras)
         for op, (n, ms) in self._cache.cost.entries.items():
             if first or op == "decode":
                 cost.add(op, n, ms)
         return self._cache.objects
 
-    def run_query(self, pred: Predicate, *, min_count: int | None = None,
-                  count_type: str = "car") -> tuple[DataFrame, CostReport]:
+    def run_query(
+        self, pred: Predicate, *, min_count: int | None = None
+    ) -> tuple[DataFrame, CostReport]:
         """Execute one query frame-by-frame.
 
         ``min_count`` switches to EVA's Q8-style semantics: frames with
-        at least that many detections of ``count_type``.
+        at least that many car detections.
         """
         cost = CostReport()
         d3 = self._materialized(cost)
@@ -76,7 +76,7 @@ class EvaSession:
         cost.add("eva_udf", n_frames, n_frames * C.EVA_UDF_FRAME + self._n_dets * C.EVA_UDF_OBJ)
         if min_count is not None:
             result = (
-                d3.filter(F.col("otype") == count_type)
+                d3.filter(F.col("otype") == "car")
                 .groupBy("video_id", "frame_idx")
                 .count()
                 .filter(F.col("count") >= min_count)

@@ -23,29 +23,25 @@ from pyspark.sql import functions as F
 from repro.core.pipeline import DECODE, Operator, execute, proxy_gated_detector, tracker
 from repro.video.costmodel import C, CostReport
 
-__all__ = ["run_otif", "OTIF_TRAINING_MS"]
+__all__ = ["run_otif", "OTIF_TRAINING_MS", "TRACK_EVERY"]
 
 OTIF_TRAINING_MS = (61 * 60 + 37) * 1000.0  # reported, not counted
+TRACK_EVERY = 2  # the reduced tracking rate: every k-th frame
 
 
-def run_otif(
-    cameras: DataFrame,
-    gt: DataFrame,
-    *,
-    track_every: int = 2,
-) -> tuple[DataFrame, CostReport]:
+def run_otif(cameras: DataFrame, gt: DataFrame) -> tuple[DataFrame, CostReport]:
     """OTIF-style tracking over a dataset; returns (tracks, cost)."""
-    with execute(
+    vp = execute(
         [
             DECODE,
             proxy_gated_detector(gt, "otif_proxy", C.OTIF_SEG_PROXY, C.YOLO),
             Operator(
                 "reduced_rate",
-                lambda run, dets: dets.filter(F.col("frame_idx") % track_every == 0),
-                lambda run, *_: None,
+                lambda run, dets: dets.filter(F.col("frame_idx") % TRACK_EVERY == 0),
+                lambda cost, *_: None,
             ),
             tracker("strongsort"),
         ],
         cameras,
-    ) as vp:
-        return vp.objects, vp.cost
+    )
+    return vp.objects, vp.cost

@@ -19,13 +19,14 @@ from pyspark.sql import DataFrame
 from repro.core.pipeline import (
     DECODE, LOC3D_GEOMETRY, detector, execute, frames_in, per, road_visibility, rows_in, tracker,
 )
+from repro.core.predicates import DEFAULT_VIEW_DISTANCE
 from repro.video.costmodel import C, CostReport
 
 __all__ = ["run_skyquery", "run_spatialyze_with_skyquery_models"]
 
 
 def _run(cameras: DataFrame, gt: DataFrame, pruners: list) -> tuple[DataFrame, CostReport]:
-    with execute(
+    vp = execute(
         [
             DECODE,
             *pruners,
@@ -36,8 +37,8 @@ def _run(cameras: DataFrame, gt: DataFrame, pruners: list) -> tuple[DataFrame, C
             tracker("sort"),
         ],
         cameras,
-    ) as vp:
-        return vp.objects, vp.cost
+    )
+    return vp.objects, vp.cost
 
 
 def run_skyquery(cameras: DataFrame, gt: DataFrame) -> tuple[DataFrame, CostReport]:
@@ -46,13 +47,9 @@ def run_skyquery(cameras: DataFrame, gt: DataFrame) -> tuple[DataFrame, CostRepo
 
 
 def run_spatialyze_with_skyquery_models(
-    cameras: DataFrame,
-    gt: DataFrame,
-    road: DataFrame,
-    *,
-    geo_types: set[str] = frozenset({"bikeLane"}),
-    distance: float = 50.0,
+    cameras: DataFrame, gt: DataFrame, road: DataFrame
 ) -> tuple[DataFrame, CostReport]:
     """Spatialyze's video processor with SkyQuery's ML functions: only
-    the Road Visibility Pruner differs (§7.1.5)."""
-    return _run(cameras, gt, [road_visibility(road, set(geo_types), distance)])
+    the Road Visibility Pruner differs (§7.1.5). It keeps the frames with
+    a bike lane within the default view distance, as Q10 asks."""
+    return _run(cameras, gt, [road_visibility(road, {"bikeLane"}, DEFAULT_VIEW_DISTANCE)])

@@ -48,7 +48,7 @@ def run_viva(
     """Execute one query the VIVA way; returns (result, modeled cost)."""
     lowres = C.LOWRES_FACTOR
     depth_ms = C.DEPTH * lowres
-    with execute(
+    vp = execute(
         [
             DECODE,
             proxy_gated_detector(gt, "viva_proxy", C.VIVA_PROXY, C.YOLO * lowres),
@@ -58,6 +58,6 @@ def run_viva(
             movable_objects_step(fps, 1),
         ],
         cameras,
-    ) as vp:
-        cost = CostReport().add("viva_plan_search", 1, PLAN_SEARCH_MS).merge(vp.cost)
-        return compile_filter(vp.objects, cameras, road, pred), cost
+    )
+    cost = CostReport().add("viva_plan_search", 1, PLAN_SEARCH_MS).merge(vp.cost)
+    return compile_filter(vp.objects, cameras, road, pred), cost

@@ -11,7 +11,7 @@ observed, never assumed. Nothing is cached. Spatialyze's plans
 systems' plans in ``repro.baselines`` differ only in which operators they list and what
 each charges; a workflow appends its Movable Objects step
 (``repro.core.sflow.movable_objects_step``) and runs all of it in one
-``execute`` scope. The paper's O(1)-frames streaming property maps to
+``execute`` call. The paper's O(1)-frames streaming property maps to
 Spark's pipelined execution within a step; between steps the frames
 pass through the driver.
 
@@ -21,9 +21,8 @@ every plan's calls; ``perfbench/tracing.py`` relies on that.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -55,8 +54,8 @@ class VPResult:
     """One executor run: the last operator's output + modeled cost.
 
     ``outputs`` maps each operator's name to its output DataFrame: a
-    local relation over the rows the executor collected, valid after the
-    ``execute`` scope has closed. Reading one runs no operator again.
+    local relation over the rows the executor collected, valid after
+    ``execute`` has returned. Reading one runs no operator again.
     """
 
     objects: DataFrame
@@ -88,8 +87,7 @@ def frame_counts(rows: pa.Table) -> np.ndarray:
     return per_frame["count_all"].to_numpy()
 
 
-@contextmanager
-def execute(operators: list[Operator], source: DataFrame) -> Iterator[VPResult]:
+def execute(operators: list[Operator], source: DataFrame) -> VPResult:
     """Run ``operators`` in order over ``source``; ``objects`` is the last
     operator's output. The only place a plan step is materialized and
     counted: each output is collected once with ``toArrow()``, counted
@@ -97,7 +95,7 @@ def execute(operators: list[Operator], source: DataFrame) -> Iterator[VPResult]:
     of that table — a local relation with the output's schema and exact
     values (a pandas round trip would merge NaN and null). No job runs
     only to count, nothing is persisted, and outputs stay valid after
-    the scope.
+    the call.
 
     Driver memory: the driver holds each operator's output once, rows ×
     columns — about 1.5k detections per operator at ``nuscenes_lite``
@@ -111,7 +109,7 @@ def execute(operators: list[Operator], source: DataFrame) -> Iterator[VPResult]:
         op.charge(run.cost, n_in, n_out, rows)
         run.objects = run.outputs[op.name] = source.sparkSession.createDataFrame(rows, out.schema)
         n_in = n_out
-    yield run
+    return run
 
 
 # The units a charge counts, from its operator's input and output counts.
@@ -166,10 +164,10 @@ def road_visibility(road: DataFrame, types, distance: float) -> Operator:
     )
 
 
-def detector(gt: DataFrame, seed: int = 0) -> Operator:
+def detector(gt: DataFrame) -> Operator:
     """The object detector, charged per frame it is given."""
     return Operator(
-        "detect", lambda run, frames: detect(frames, gt, seed=seed), per(frames_in, "yolo", C.YOLO)
+        "detect", lambda run, frames: detect(frames, gt), per(frames_in, "yolo", C.YOLO)
     )
 
 
@@ -200,8 +198,7 @@ def tracker(variant: str) -> Operator:
 
 
 def video_processor(
-    plan: Plan, gt: DataFrame, road: DataFrame, *, fps: float, seed: int = 0,
-    efs_max_skip: int = MAX_SKIP,
+    plan: Plan, gt: DataFrame, road: DataFrame, *, fps: float, efs_max_skip: int = MAX_SKIP,
 ) -> list[Operator]:
     """Spatialyze's operators for ``plan.operators``, in order, over one
     dataset's frames, ready for :func:`execute`."""
@@ -217,7 +214,7 @@ def video_processor(
     catalog = (
         DECODE,
         road_visibility(road, plan.rvp_types, plan.rvp_distance),
-        detector(gt, seed),
+        detector(gt),
         Operator("otp", lambda run, dets: prune_types(dets, plan.otp_types),
                  per(rows_in, "otp", C.OTP_OBJ)),
         LOC3D_GEOMETRY,

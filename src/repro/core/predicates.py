@@ -26,7 +26,7 @@ __all__ = [
     "perpendicular", "opposite", "same_direction", "turn_left", "stopped",
     "walk", "conjuncts", "object_refs", "geo_refs", "camera_used",
     "object_type_constraints", "rvp_geo_types", "rvp_distance",
-    "required_capabilities", "GROUND_TYPES", "VEHICLE_TYPES",
+    "required_capabilities", "DEFAULT_VIEW_DISTANCE", "GROUND_TYPES", "VEHICLE_TYPES",
 ]
 
 GROUND_TYPES = frozenset({"car", "truck", "person", "bicycle"})
@@ -152,16 +152,16 @@ def heading_diff(a: Entity, b: Entity, between: tuple[float, float]) -> HeadingD
     return HeadingDiffBetween(a, b, float(between[0]), float(between[1]))
 
 
-def perpendicular(a: Entity, b: Entity, tol: float = 20.0) -> HeadingDiffBetween:
-    return HeadingDiffBetween(a, b, 90.0 - tol, 90.0 + tol)
+def perpendicular(a: Entity, b: Entity) -> HeadingDiffBetween:
+    return HeadingDiffBetween(a, b, 70.0, 110.0)
 
 
-def opposite(a: Entity, b: Entity, tol: float = 40.0) -> HeadingDiffBetween:
-    return HeadingDiffBetween(a, b, 180.0 - tol, 180.0)
+def opposite(a: Entity, b: Entity) -> HeadingDiffBetween:
+    return HeadingDiffBetween(a, b, 140.0, 180.0)
 
 
-def same_direction(a: Entity, b: Entity, tol: float = 40.0) -> HeadingDiffBetween:
-    return HeadingDiffBetween(a, b, 0.0, tol)
+def same_direction(a: Entity, b: Entity) -> HeadingDiffBetween:
+    return HeadingDiffBetween(a, b, 0.0, 40.0)
 
 
 def turn_left(o: ObjectRef) -> TurnLeft:

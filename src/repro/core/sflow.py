@@ -64,13 +64,9 @@ class World:
         spark: SparkSession,
         *,
         optimizations: frozenset[str] | set[str] = ALL_OPTIMIZATIONS,
-        tracker_variant: str = "strongsort",
-        seed: int = 0,
     ):
         self.spark = spark
         self.optimizations = frozenset(optimizations)
-        self.tracker_variant = tracker_variant
-        self.seed = seed
         self._road: RoadNetwork | None = None
         self._videos: list[GeospatialVideo] = []
         self._preds: list[Predicate] = []
@@ -124,7 +120,7 @@ class World:
         self, compose: Callable[[DataFrame], DataFrame]
     ) -> tuple[pd.DataFrame, CostReport]:
         """Run all four stages and collect ``compose(result)``; the video
-        processor and the Movable Objects step run in one executor scope."""
+        processor and the Movable Objects step run in one executor call."""
         pred, plan = self.predicate, self.plan
         cams, gt, road = self._tables()
         cost = CostReport()
@@ -134,10 +130,10 @@ class World:
         cost.add("integrate", n_constructs + n_frames,
                  n_constructs * C.INTEGRATE_CONSTRUCT + n_frames * C.INTEGRATE_FRAME)
         # ② Video Processor, then ③ the Movable Objects Query Engine, one plan.
-        ops = [*video_processor(plan, gt, road, fps=self.fps, seed=self.seed),
+        ops = [*video_processor(plan, gt, road, fps=self.fps),
                movable_objects_step(self.fps, len(object_refs(pred)))]
-        with execute(ops, cams) as run:
-            out = compose(compile_filter(run.objects, cams, road, pred)).toPandas()
+        run = execute(ops, cams)
+        out = compose(compile_filter(run.objects, cams, road, pred)).toPandas()
         self._vp = run
         return out, cost.merge(run.cost)
 
@@ -156,9 +152,7 @@ class World:
     @property
     def plan(self) -> Plan:
         """The plan for the conjunction of every filter so far."""
-        return plan_workflow(
-            self.predicate, optimizations=self.optimizations, tracker_variant=self.tracker_variant
-        )
+        return plan_workflow(self.predicate, optimizations=self.optimizations)
 
     @property
     def vp_result(self) -> VPResult:

@@ -64,23 +64,22 @@ def run_setup(
     qname: str,
     setup: str,
     *,
-    seed: int = 0,
     efs_max_skip: int = MAX_SKIP,
 ) -> SetupRun:
     """Run one query's video processor under one ablation setup."""
     plan = plan_workflow(query(qname), optimizations=SETUPS[setup])
-    ops = video_processor(plan, ds.gt_sdf(spark), ds.road_sdf(spark), fps=ds.fps, seed=seed,
+    ops = video_processor(plan, ds.gt_sdf(spark), ds.road_sdf(spark), fps=ds.fps,
                           efs_max_skip=efs_max_skip)
-    with execute(ops, ds.cameras_sdf(spark)) as run:
-        tracked = (
-            run.objects.select(*TRACK_COLS).toPandas()
-            if any(op.startswith("track_") for op in plan.operators)
-            else pd.DataFrame(columns=TRACK_COLS)
-        )
-        rvp_frames = (
-            run.outputs["rvp"].select("video_id", "frame_idx").toPandas()
-            if "rvp" in run.outputs else None
-        )
+    run = execute(ops, ds.cameras_sdf(spark))
+    tracked = (
+        run.objects.select(*TRACK_COLS).toPandas()
+        if any(op.startswith("track_") for op in plan.operators)
+        else pd.DataFrame(columns=TRACK_COLS)
+    )
+    rvp_frames = (
+        run.outputs["rvp"].select("video_id", "frame_idx").toPandas()
+        if "rvp" in run.outputs else None
+    )
     return SetupRun(setup, qname, run.cost, tracked, rvp_frames)
 
 
@@ -126,10 +125,10 @@ def fps_of(cost: CostReport, n_frames: int) -> float:
     return n_frames / (cost.total_ms / 1000.0) if cost.total_ms else float("inf")
 
 
-def stage_breakdown(spark: SparkSession, ds: Dataset, qname: str = "Q2") -> pd.DataFrame:
-    """T10 (§7.2.1): stage shares of an unoptimized end-to-end run."""
+def stage_breakdown(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
+    """T10 (§7.2.1): stage shares of an unoptimized end-to-end Q2 run."""
     w = World.from_dataset(spark, ds, optimizations=frozenset())
-    w.filter(query(qname))
+    w.filter(query("Q2"))
     _, cost = w.save_videos()
     stage_of = {
         "integrate": "Data Integrator",

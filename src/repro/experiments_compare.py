@@ -62,22 +62,21 @@ def _scale_lowres(cost: CostReport) -> CostReport:
     return out
 
 
-def viva_comparison(spark: SparkSession, ds: Dataset, *, target_fps: float = 1.0) -> pd.DataFrame:
+def viva_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     """T3: Q9 at 360x240 @ 1 FPS with DeepSORT on both sides (§7.1.2)."""
-    k = max(1, int(round(ds.fps / target_fps)))
+    k = max(1, int(round(ds.fps)))  # keep one frame per second
     cams_pdf = ds.cameras[ds.cameras["frame_idx"] % k == 0].reset_index(drop=True)
     gt_pdf = ds.gt[ds.gt["frame_idx"] % k == 0].reset_index(drop=True)
-    sub = Dataset(ds.name, ds.road, cams_pdf, gt_pdf, target_fps)
+    sub = Dataset(ds.name, ds.road, cams_pdf, gt_pdf, 1.0)
     cams, gt, road = sub.cameras_sdf(spark), sub.gt_sdf(spark), sub.road_sdf(spark)
     pred = query("Q9")
     # VIVA side.
-    _, viva_cost = run_viva(cams, gt, road, pred, fps=target_fps)
+    _, viva_cost = run_viva(cams, gt, road, pred, fps=1.0)
     # Spatialyze side: same models at the same resolution, DeepSORT; the
     # query engine is charged per Movable Objects row, as on the VIVA side.
     plan = plan_workflow(pred, tracker_variant="deepsort")
-    with execute([*video_processor(plan, gt, road, fps=target_fps),
-                  movable_objects_step(target_fps, 1)], cams) as run:
-        compile_filter(run.objects, cams, road, pred).count()
+    run = execute([*video_processor(plan, gt, road, fps=1.0), movable_objects_step(1.0, 1)], cams)
+    compile_filter(run.objects, cams, road, pred).count()
     sp_cost = _scale_lowres(run.cost)
     return pd.DataFrame(
         [
@@ -106,35 +105,35 @@ def devkit_comparison(
     # are part of the queries, evaluated by each engine itself.
     # Only the store's rows are read, not its modeled cost.
     plan = plan_workflow(query("Q2"), optimizations=frozenset({"geom3d"}))
-    with execute([*video_processor(plan, gt, road, fps=ds.fps),
-                  movable_objects_step(ds.fps, 1)], cams) as table:
-        objects_pdf = table.objects.toPandas()
-        rows = []
-        for q in queries:
-            pred = query(q)
-            t0 = time.perf_counter()
-            result = compile_filter(table.objects, cams, road, pred)
-            n_spark = result.count()
-            spark_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            oom = False
-            try:
-                naive = run_devkit_query(objects_pdf, ds.cameras, ds.road.df, pred)
-                n_naive = len(naive)
-            except MaterializationLimit:
-                oom, n_naive = True, -1
-            devkit_s = time.perf_counter() - t0
-            rows.append(
-                {
-                    "query": q,
-                    "spark_engine_s": spark_s,
-                    "devkit_s": devkit_s,
-                    "speedup": devkit_s / spark_s,
-                    "rows_spark": n_spark,
-                    "rows_devkit": n_naive,
-                    "devkit_oom": oom,
-                }
-            )
+    objects = execute([*video_processor(plan, gt, road, fps=ds.fps),
+                       movable_objects_step(ds.fps, 1)], cams).objects
+    objects_pdf = objects.toPandas()
+    rows = []
+    for q in queries:
+        pred = query(q)
+        t0 = time.perf_counter()
+        result = compile_filter(objects, cams, road, pred)
+        n_spark = result.count()
+        spark_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        oom = False
+        try:
+            naive = run_devkit_query(objects_pdf, ds.cameras, ds.road.df, pred)
+            n_naive = len(naive)
+        except MaterializationLimit:
+            oom, n_naive = True, -1
+        devkit_s = time.perf_counter() - t0
+        rows.append(
+            {
+                "query": q,
+                "spark_engine_s": spark_s,
+                "devkit_s": devkit_s,
+                "speedup": devkit_s / spark_s,
+                "rows_spark": n_spark,
+                "rows_devkit": n_naive,
+                "devkit_oom": oom,
+            }
+        )
     return pd.DataFrame(rows)
 
 

@@ -64,9 +64,10 @@ def skip_f1(tracked: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def skip_runtime_ratio(skip: int, n_objects: float = 8.0, variant: str = "strongsort") -> float:
-    """Modeled per-frame runtime with a skip of ``skip`` frames, relative
-    to tracking every frame (§6.4.3's metric; < 1 is a saving)."""
-    full = tracker_frame_cost(n_objects, variant) * (skip + 1)
-    with_efs = C.EFS_FRAME * (skip + 1) + tracker_frame_cost(n_objects, variant)
+def skip_runtime_ratio(skip: int, n_objects: float = 8.0) -> float:
+    """Modeled per-frame StrongSORT runtime with a skip of ``skip``
+    frames, relative to tracking every frame (§6.4.3's metric; < 1 is a
+    saving)."""
+    full = tracker_frame_cost(n_objects) * (skip + 1)
+    with_efs = C.EFS_FRAME * (skip + 1) + tracker_frame_cost(n_objects)
     return with_efs / full

@@ -26,14 +26,13 @@ import pandas as pd
 from repro.video.hungarian import hungarian
 from repro.video.tracker import _iou_matrix
 
-__all__ = ["assa", "frame_matches"]
+__all__ = ["ALPHA", "assa", "frame_matches"]
 
 REQUIRED = ["video_id", "frame_idx", "tid", "x1", "y1", "x2", "y2"]
+ALPHA = 0.5  # the localization threshold: a TP needs IoU >= ALPHA
 
 
-def frame_matches(
-    gt: pd.DataFrame, pred: pd.DataFrame, iou_threshold: float = 0.5
-) -> list[tuple]:
+def frame_matches(gt: pd.DataFrame, pred: pd.DataFrame) -> list[tuple]:
     """Per-frame Hungarian TP matching; returns (video, frame, gid, pid)."""
     for df in (gt, pred):
         missing = [c for c in REQUIRED if c not in df.columns]
@@ -49,12 +48,12 @@ def frame_matches(
         pb = p[["x1", "y1", "x2", "y2"]].to_numpy(np.float64)
         iou = _iou_matrix(gb, pb)
         for r, c in hungarian(1.0 - iou):
-            if iou[r, c] >= iou_threshold:
+            if iou[r, c] >= ALPHA:
                 out.append((key[0], key[1], g.iloc[r]["tid"], p.iloc[c]["tid"]))
     return out
 
 
-def assa(gt: pd.DataFrame, pred: pd.DataFrame, iou_threshold: float = 0.5) -> float:
+def assa(gt: pd.DataFrame, pred: pd.DataFrame) -> float:
     """Association accuracy of ``pred`` tracks against ``gt`` tracks.
 
     Returns 1.0 for two empty inputs, 0.0 if nothing matches.
@@ -63,16 +62,13 @@ def assa(gt: pd.DataFrame, pred: pd.DataFrame, iou_threshold: float = 0.5) -> fl
         return 1.0
     if not len(gt) or not len(pred):
         return 0.0
-    matches = frame_matches(gt, pred, iou_threshold)
+    matches = frame_matches(gt, pred)
     if not matches:
         return 0.0
     tpa = Counter(((v, g), (v, p)) for v, _, g, p in matches)
-    gt_count = Counter((v, g) for v, _, g, _ in matches)
-    pr_count = Counter((v, p) for v, _, _, p in matches)
     # FNA/FPA also count unmatched detections of g / p.
     gt_total = gt.groupby(["video_id", "tid"]).size()
     pr_total = pred.groupby(["video_id", "tid"]).size()
-    del gt_count, pr_count
     score = 0.0
     for v, _, g, p in matches:
         t = tpa[((v, g), (v, p))]

@@ -119,11 +119,6 @@ class CostReport:
     def count(self, op: str) -> float:
         return self.entries.get(op, [0.0, 0.0])[0]
 
-    def breakdown(self) -> dict[str, float]:
-        """Fraction of total per op (empty report → empty dict)."""
-        t = self.total_ms
-        return {op: ms / t for op, (_, ms) in self.entries.items()} if t else {}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         rows = ", ".join(f"{op}={ms:.1f}ms" for op, (_, ms) in sorted(self.entries.items()))
         return f"CostReport(total={self.total_ms:.1f}ms, {rows})"

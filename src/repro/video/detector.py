@@ -195,13 +195,13 @@ def project_detections(pdf: pd.DataFrame, seed: int = 0) -> pd.DataFrame:
     return out
 
 
-def detect(frames: DataFrame, gt: DataFrame, *, seed: int = 0) -> DataFrame:
+def detect(frames: DataFrame, gt: DataFrame) -> DataFrame:
     """ObjectDetector operator: frames x ground truth → typed 2D boxes."""
     joined = frames.join(gt.drop("ts"), on=["video_id", "frame_idx"], how="inner")
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
-            out = project_detections(pdf, seed=seed)
+            out = project_detections(pdf)
             if len(out):
                 yield out.astype(
                     {f.name: "float64" for f in DET_SCHEMA if isinstance(f.dataType, T.DoubleType)}

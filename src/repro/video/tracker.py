@@ -9,8 +9,9 @@ Real tracking-by-detection, from scratch:
   (StrongSORT/DeepSORT) or IoU alone (SORT);
 * Hungarian assignment (our own implementation) with gating;
 * track management: new track per unmatched detection, tracks die after
-  ``max_age`` consecutive unmatched *processed* frames (matching how
-  reduced-rate trackers age their tracks).
+  ``MAX_AGE`` consecutive unmatched *processed* frames (matching how
+  reduced-rate trackers age their tracks); a match costing
+  ``COST_THRESHOLD`` or more is rejected.
 
 Runs as ``applyInPandas`` grouped by video — the tracker is the paper's
 one stateful streaming operator (§5.2.2).
@@ -24,11 +25,13 @@ from pyspark.sql import types as T
 
 from repro.video.hungarian import hungarian
 
-__all__ = ["track_pandas", "track_objects", "VARIANTS"]
+__all__ = ["track_pandas", "track_objects", "VARIANTS", "MAX_AGE", "COST_THRESHOLD"]
 
 # Appearance weight lambda per variant; SORT has no appearance branch.
 VARIANTS = {"strongsort": 0.5, "deepsort": 0.4, "sort": 0.0}
 FEATS = ["f0", "f1", "f2", "f3"]
+MAX_AGE = 3  # unmatched processed frames a track survives
+COST_THRESHOLD = 0.55  # assignments costing this much or more start a new track
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,16 +67,11 @@ class _Track:
         return self.box + shift
 
 
-def track_pandas(
-    pdf: pd.DataFrame,
-    *,
-    variant: str = "strongsort",
-    max_age: int = 3,
-    cost_threshold: float = 0.55,
-    next_tid: int = 0,
-) -> pd.DataFrame:
-    """Track one video's detections; returns the input + ``track_id``."""
+def track_pandas(pdf: pd.DataFrame, *, variant: str = "strongsort") -> pd.DataFrame:
+    """Track one video's detections; returns the input + ``track_id``,
+    numbered from 0 in order of each track's first detection."""
     lam = VARIANTS[variant]
+    next_tid = 0
     pdf = pdf.sort_values(["frame_idx", "det_id"]).reset_index(drop=True)
     track_ids = np.full(len(pdf), -1, dtype=np.int64)
     tracks: list[_Track] = []
@@ -81,7 +79,7 @@ def track_pandas(
         frame = int(frame)
         boxes = pdf.loc[idx, ["x1", "y1", "x2", "y2"]].to_numpy(np.float64)
         feats = pdf.loc[idx, FEATS].to_numpy(np.float64)
-        live = [t for t in tracks if t.misses <= max_age]
+        live = [t for t in tracks if t.misses <= MAX_AGE]
         preds = np.array([t.predict(frame) for t in live]).reshape(len(live), 4)
         iou = _iou_matrix(preds, boxes)
         cost = (1 - lam) * (1.0 - iou)
@@ -99,7 +97,7 @@ def track_pandas(
             cost = np.where((iou <= 0.0) & (dists > gate[:, None]), 1e6, cost)
         matched_tracks, matched_dets = set(), set()
         for r, c in hungarian(cost) if len(live) else []:
-            if cost[r, c] < cost_threshold:
+            if cost[r, c] < COST_THRESHOLD:
                 t = live[r]
                 dt = frame - t.last_frame
                 new_box = boxes[c]
@@ -125,19 +123,17 @@ def track_pandas(
                 next_tid += 1
                 tracks.append(t)
                 track_ids[idx[c]] = t.tid
-        tracks = [t for t in tracks if t.misses <= max_age]
+        tracks = [t for t in tracks if t.misses <= MAX_AGE]
     out = pdf.copy()
     out["track_id"] = track_ids
     return out
 
 
-def track_objects(
-    dets: DataFrame, *, variant: str = "strongsort", max_age: int = 3
-) -> DataFrame:
+def track_objects(dets: DataFrame, *, variant: str = "strongsort") -> DataFrame:
     """ObjectTracker operator: per-video stateful tracking."""
     schema = T.StructType(list(dets.schema.fields) + [T.StructField("track_id", T.LongType())])
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        return track_pandas(pdf, variant=variant, max_age=max_age)
+        return track_pandas(pdf, variant=variant)
 
     return dets.groupBy("video_id").applyInPandas(run, schema=schema)

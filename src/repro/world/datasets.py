@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.video.decoder import FRAME_COLS
 from repro.world.agents import simulate_car_path, simulate_objects
 from repro.world.roadnetwork import RoadNetwork, grid_road_network
-from repro.world.scenes import NUSC_INTRINSIC, camera_table, waypoint_path
+from repro.world.scenes import camera_table, waypoint_path
 
 __all__ = [
     "Dataset", "nuscenes_lite", "jackson_lite", "skyquery_lite", "local_table", "road_table",
@@ -139,11 +139,6 @@ def nuscenes_lite(
     *,
     seed: int = 0,
     n_frames: int = 240,
-    fps: float = 12.0,
-    n_cars: int = 8,
-    n_trucks: int = 2,
-    n_persons: int = 5,
-    n_lights: int = 4,
 ) -> Dataset:
     """On-vehicle camera scenes on a 3x3 grid with 70 m blocks.
 
@@ -156,6 +151,7 @@ def nuscenes_lite(
     ego wrong-way in the opposing lane — the Scenic-style oncoming
     scenario Q3 looks for.
     """
+    fps = 12.0
     road = grid_road_network(3, 3, spacing=70.0)
     cams, gts = [], []
     for s in range(n_scenes):
@@ -167,10 +163,10 @@ def nuscenes_lite(
             fps,
             oid_offset=s * 1000,
             wrong_way=(s % 3 == 2),
-            n_cars=n_cars,
-            n_trucks=n_trucks,
-            n_persons=n_persons,
-            n_lights=n_lights,
+            n_cars=8,
+            n_trucks=2,
+            n_persons=5,
+            n_lights=4,
         )
         cams.append(c)
         gts.append(g)
@@ -183,7 +179,6 @@ def jackson_lite(
     *,
     seed: int = 0,
     n_frames: int = 150,
-    fps: float = 30.0,
 ) -> Dataset:
     """Static pole-mounted camera watching one intersection (VIVA's data).
 
@@ -192,6 +187,7 @@ def jackson_lite(
     """
     import numpy as np
 
+    fps = 30.0
     road = grid_road_network(3, 3, spacing=60.0)
     center = road.nodes[(1, 1)]
     cam_pos = center + np.array([-22.0, -16.0])
@@ -229,8 +225,6 @@ def skyquery_lite(
     *,
     seed: int = 0,
     n_frames: int = 720,
-    fps: float = 12.0,
-    altitude: float = 60.0,
 ) -> Dataset:
     """Aerial top-down drone video with per-frame GPS (SkyQuery's data).
 
@@ -239,6 +233,7 @@ def skyquery_lite(
     Visibility Pruner can drop for Q10), on a 3x3 grid with 150 m blocks.
     Some cars are parked ("stopped") inside bike lanes.
     """
+    fps = 12.0
     road = grid_road_network(3, 3, spacing=150.0, bike_lanes=True)
     # Bike lanes exist on EW roads at j even (y=0 and y=300 rows).
     path = waypoint_path(
@@ -247,9 +242,7 @@ def skyquery_lite(
         n_frames=n_frames,
         fps=fps,
     )
-    cams = camera_table(
-        "drone-0000", path, fps, height=altitude, pitch_deg=90.0, intrinsic=NUSC_INTRINSIC
-    )
+    cams = camera_table("drone-0000", path, fps, height=60.0, pitch_deg=90.0)
     gt = simulate_objects(
         road,
         n_frames=n_frames,

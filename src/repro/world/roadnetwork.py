@@ -81,10 +81,10 @@ def grid_road_network(
     nx: int = 4,
     ny: int = 4,
     spacing: float = 100.0,
-    origin: tuple[float, float] = (0.0, 0.0),
     bike_lanes: bool = True,
 ) -> RoadNetwork:
-    """Build an ``nx`` x ``ny`` grid of intersections joined by 2-lane roads.
+    """Build an ``nx`` x ``ny`` grid of intersections joined by 2-lane
+    roads, the first intersection at the origin.
 
     Returns a :class:`RoadNetwork` whose ``df`` holds one row per
     Geographic Construct and whose ``lanes`` carry connectivity for the
@@ -94,9 +94,8 @@ def grid_road_network(
     if nx < 2 or ny < 2:
         raise ValueError("grid needs at least 2x2 intersections")
     hw = LANE_WIDTH  # intersection half-width == one lane each way
-    ox, oy = origin
-    xs = ox + spacing * np.arange(nx)
-    ys = oy + spacing * np.arange(ny)
+    xs = spacing * np.arange(nx)
+    ys = spacing * np.arange(ny)
 
     rows: list[dict] = []
     lanes: list[Lane] = []

@@ -27,16 +27,15 @@ def camera_table(
     *,
     height: float = 1.6,
     pitch_deg: float = 0.0,
-    intrinsic: dict | None = None,
 ) -> pd.DataFrame:
     """Build per-frame camera rows from a path with frame_idx/x/y/heading.
 
     ``height`` is the camera z above ground; ``pitch_deg=90`` gives the
-    top-down aerial camera. The quaternion is stored (the paper's data
-    model stores rotations as quaternions) and ``cam_heading`` is kept as
-    a derived convenience column.
+    top-down aerial camera. Every camera has the ``NUSC_INTRINSIC``
+    intrinsic. The quaternion is stored (the paper's data model stores
+    rotations as quaternions) and ``cam_heading`` is kept as a derived
+    convenience column.
     """
-    it = dict(NUSC_INTRINSIC if intrinsic is None else intrinsic)
     quats = np.stack(
         [heading_to_camera_quat(h, pitch_deg) for h in path["heading"].to_numpy()]
     )
@@ -53,13 +52,7 @@ def camera_table(
             "qx": quats[:, 1],
             "qy": quats[:, 2],
             "qz": quats[:, 3],
-            "fx": it["fx"],
-            "fy": it["fy"],
-            "sk": it["sk"],
-            "x0": it["x0"],
-            "y0": it["y0"],
-            "img_w": it["img_w"],
-            "img_h": it["img_h"],
+            **NUSC_INTRINSIC,  # fx, fy, sk, x0, y0, img_w, img_h
             "cam_heading": path["heading"].to_numpy() % 360.0,
         }
     )
@@ -70,16 +63,15 @@ def waypoint_path(
     speed: float,
     n_frames: int,
     fps: float,
-    loop: bool = True,
 ) -> pd.DataFrame:
-    """Constant-speed piecewise-linear path through ``waypoints``.
+    """Constant-speed piecewise-linear path through ``waypoints``, looping
+    back to the first.
 
     Used for the drone (skyquery_lite). Heading follows the direction of
     motion. Returns frame_idx/x/y/heading rows.
     """
     wps = [np.asarray(w, dtype=np.float64) for w in waypoints]
-    if loop:
-        wps = wps + [wps[0]]
+    wps = wps + [wps[0]]
     dt = 1.0 / fps
     rows = []
     seg = 0

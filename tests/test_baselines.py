@@ -184,7 +184,7 @@ def test_devkit_handles_lane_heading_predicates(devkit_tables):
 
 def test_otif_reduced_rate_and_gating(tiny_sdfs, tiny_ds):
     cams, gt, _ = tiny_sdfs
-    tracked, cost = run_otif(cams, gt, track_every=2)
+    tracked, cost = run_otif(cams, gt)
     assert cost.count("decode") == tiny_ds.n_frames
     assert cost.count("yolo") <= tiny_ds.n_frames
     assert cost.count("track") <= cost.count("decode") / 2 + 1

@@ -56,7 +56,7 @@ def test_mixed_rows_sources():
 def test_empty_chunk():
     import pandas as pd
 
-    out = geometry_pandas(_dets([]) if False else pd.DataFrame(columns=["x1"]))
+    out = geometry_pandas(pd.DataFrame(columns=["x1"]))
     assert len(out) == 0
     assert "est_src" in out.columns
 

@@ -12,7 +12,6 @@ import dataclasses
 import math
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import pandas as pd
@@ -168,9 +167,9 @@ def _world(spark, ds, setup: str = "S6") -> tuple[World, pd.DataFrame]:
     return w, manifest
 
 
-# Scope entries each workflow makes, all at nesting depth 0: a Spatialyze
+# Executor calls each workflow makes, all at nesting depth 0: a Spatialyze
 # workflow runs its video processor and its Movable Objects step in one
-# scope; viva_comparison runs VIVA's plan first, in a scope of its own.
+# call; viva_comparison runs VIVA's plan first, in a call of its own.
 SCOPES = {
     "World.save_videos": (_world, [0]),
     "viva_comparison": (viva_comparison, [0, 0]),
@@ -180,19 +179,17 @@ SCOPES = {
 
 @pytest.mark.parametrize("name", sorted(SCOPES))
 def test_each_workflow_is_one_executor_scope(spark, ds, name):
-    """``execute`` entries, counted wherever it is imported, with the
-    number of scopes already open at each entry; the workflow leaves the
+    """``execute`` calls, counted wherever it is imported, with the
+    number of calls still running at each entry; the workflow leaves the
     persisted RDDs as it found them, whatever earlier tests left."""
     original, entries, depth = pipeline.execute, [], 0
 
-    @contextmanager
     def counting(*args, **kw):
         nonlocal depth
         entries.append(depth)
         depth += 1
         try:
-            with original(*args, **kw) as run:
-                yield run
+            return original(*args, **kw)
         finally:
             depth -= 1
 
@@ -247,8 +244,7 @@ def test_the_hand_off_keeps_schema_and_values(spark, keep):
         lambda cost, n_in, n_out, rows: charged.append((n_in, sorted(n_out), rows.num_rows)),
     )
     want = step.apply(None, source)
-    with pipeline.execute([step], source) as run:
-        pass
+    run = pipeline.execute([step], source)
     got = run.outputs["step"]
     assert run.objects is got
     assert got.schema == want.schema

@@ -43,18 +43,15 @@ def test_cost_report_accumulates():
     assert r.total_ms == pytest.approx(498.0)
 
 
-def test_cost_report_merge_and_breakdown():
+def test_cost_report_merge():
     a = CostReport().add("x", 1, 75.0)
     b = CostReport().add("x", 1, 25.0).add("y", 1, 100.0)
     a.merge(b)
     assert a.total_ms == 200.0
-    bd = a.breakdown()
-    assert bd["x"] == pytest.approx(0.5)
-    assert bd["y"] == pytest.approx(0.5)
+    assert (a.ms("x"), a.ms("y")) == (100.0, 100.0)
 
 
 def test_cost_report_empty():
     r = CostReport()
     assert r.total_ms == 0.0
-    assert r.breakdown() == {}
     assert r.ms("nope") == 0.0
